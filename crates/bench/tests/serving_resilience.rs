@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use bench::{data, queries};
@@ -337,9 +337,12 @@ fn scale_64_crash_while_serving_smoke_with_query_parity() {
 /// so the crash can land inside a threshold-triggered checkpoint that runs
 /// while readers serve. Readers assert they only ever observe committed
 /// epochs, in monotonic order; recovery lands on the last committed
-/// generation.
+/// generation. A start barrier holds the writer until every reader has
+/// completed one snapshot read and one probe query, so the race is
+/// exercised on every run regardless of how threads are scheduled.
 #[test]
 fn crash_under_racing_readers_lands_on_a_committed_epoch() {
+    const READERS: usize = 3;
     let ops = workload_ops(6);
     let config = || ServingConfig {
         // Small threshold: mutations routinely trigger checkpoints, so
@@ -374,15 +377,16 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
         // nothing, so deregistering afterwards cannot race a reader.
         let committed: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::from([0]));
         let stop = AtomicBool::new(false);
+        let started = Barrier::new(READERS + 1);
         let mut last_ok_gen = 0;
 
         std::thread::scope(|scope| {
             let mut readers = Vec::new();
-            for _ in 0..3 {
+            for _ in 0..READERS {
                 readers.push(scope.spawn(|| {
                     let mut last_epoch = 0u64;
                     let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    loop {
                         let snap = server.snapshot();
                         assert!(snap.epoch() >= last_epoch, "epochs went backwards");
                         last_epoch = snap.epoch();
@@ -395,11 +399,18 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
                         // or fail typed — never panic, never see torn data.
                         let _ = Executor::new().execute(&probe, snap.embedded());
                         reads += 1;
+                        if reads == 1 {
+                            started.wait();
+                        }
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     reads
                 }));
             }
 
+            started.wait();
             let mut expected = server.snapshot().generation();
             for op in &ops {
                 if !matches!(op, Op::Checkpoint) {
@@ -417,11 +428,14 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
                 }
             }
             stop.store(true, Ordering::Relaxed);
-            let total_reads: u64 = readers
+            let reads: Vec<u64> = readers
                 .into_iter()
                 .map(|r| r.join().expect("reader panicked"))
-                .sum();
-            assert!(total_reads > 0, "readers never ran");
+                .collect();
+            assert!(
+                reads.iter().all(|&n| n > 0),
+                "every reader must read at least once: {reads:?}"
+            );
         });
 
         // The crash happened mid-run (budgets are all below the fault-free

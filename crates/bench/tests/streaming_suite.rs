@@ -6,12 +6,13 @@
 //! Table 2 query and all three case studies must produce **identical
 //! DataFrames** (schema, row order, cell values) and identical
 //! `rows_scanned` work counts whether the embedded engine streams
-//! batches through the pull-based pipeline or fully materializes first —
-//! at every batch size in the sweep (1, 7, 256, 65536) and over both
-//! storage layouts (compacted slabs and an all-delta overlay).
+//! batches through the pull-based pipeline or the term-materialized
+//! reference evaluator answers the rendered SPARQL — at every batch size
+//! in the sweep (1, 7, 256, 65536) and over both storage layouts
+//! (compacted slabs and an all-delta overlay).
 //!
 //! Scan parity is exact here because nothing in this corpus carries a
-//! `LIMIT`: the streaming slice's early exit (the one sanctioned scan
+//! `LIMIT`: the pipeline slice's early exit (the one sanctioned scan
 //! divergence — see `streaming_pipeline.rs`) never engages.
 
 use std::sync::Arc;
@@ -20,8 +21,9 @@ use bench::casestudies::{self, CaseParams};
 use bench::data;
 use bench::queries;
 use rdf_model::{Dataset, Graph};
-use rdfframes_core::{EmbeddedEndpoint, RDFFrame};
-use sparql_engine::EngineConfig;
+use rdfframes_core::model::{generator, render};
+use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint, RDFFrame, WireFormat};
+use sparql_engine::EvalMode;
 
 /// Big enough for multi-thousand-row intermediates (so batching is
 /// genuinely exercised), small enough to keep the 4-batch × 2-layout
@@ -30,15 +32,18 @@ const SCALE: usize = 100;
 
 const BATCH_SWEEP: [usize; 4] = [1, 7, 256, 65_536];
 
-fn endpoint(ds: &Arc<Dataset>, streaming: bool, batch_rows: usize) -> EmbeddedEndpoint {
-    EmbeddedEndpoint::with_engine_config(
+/// The oracle: the reference evaluator behind the wire path, one page per
+/// query and no serialization.
+fn reference_endpoint(ds: &Arc<Dataset>) -> InProcessEndpoint {
+    InProcessEndpoint::with_config(
         Arc::clone(ds),
-        EngineConfig {
-            streaming,
-            ..EngineConfig::new()
+        EndpointConfig {
+            max_rows_per_request: 10_000_000,
+            eval_mode: EvalMode::TermReference,
+            wire: WireFormat::None,
+            ..Default::default()
         },
     )
-    .with_batch_rows(batch_rows)
 }
 
 /// Rebuild every graph with auto-compaction disabled so all triples sit
@@ -81,7 +86,7 @@ fn workload() -> Vec<(String, RDFFrame)> {
     all
 }
 
-/// One workload execution, returning (DataFrame, rows scanned by it).
+/// One embedded execution, returning (DataFrame, rows scanned by it).
 fn run(frame: &RDFFrame, ep: &EmbeddedEndpoint, id: &str) -> (dataframe::DataFrame, u64) {
     let before = ep.rows_scanned();
     let df = frame
@@ -90,27 +95,44 @@ fn run(frame: &RDFFrame, ep: &EmbeddedEndpoint, id: &str) -> (dataframe::DataFra
     (df, ep.rows_scanned() - before)
 }
 
+/// The oracle's answer for `frame`: its DataFrame through the wire path,
+/// and the reference evaluator's scan count for the rendered query.
+fn run_reference(
+    frame: &RDFFrame,
+    ep: &InProcessEndpoint,
+    id: &str,
+) -> (dataframe::DataFrame, u64) {
+    let df = frame
+        .execute(ep)
+        .unwrap_or_else(|e| panic!("{id}: reference execution failed: {e}"));
+    let model = generator::build_query_model(frame).expect("model generation");
+    let (_, stats) = ep
+        .engine()
+        .execute_with_stats(&render::render(&model))
+        .unwrap_or_else(|e| panic!("{id}: reference execution failed: {e}"));
+    (df, stats.rows_scanned)
+}
+
 fn sweep_layout(ds: &Arc<Dataset>, layout: &str) {
-    // The materializing baseline is batch-size-independent (batching a
-    // materialized table only slices it), so compute it once per frame
-    // and hold every streaming batch size to it.
-    let baseline = endpoint(ds, false, 16_384);
+    // The reference evaluator does not batch, so compute its answer once
+    // per frame and hold every batch size to it.
+    let reference = reference_endpoint(ds);
     for (id, frame) in workload() {
-        let (df_base, scanned_base) = run(&frame, &baseline, &id);
+        let (df_base, scanned_base) = run_reference(&frame, &reference, &id);
         assert!(
             !df_base.is_empty(),
             "{id}: empty result at test scale proves nothing"
         );
         for batch_rows in BATCH_SWEEP {
-            let streaming = endpoint(ds, true, batch_rows);
+            let streaming = EmbeddedEndpoint::new(Arc::clone(ds)).with_batch_rows(batch_rows);
             let (df_stream, scanned_stream) = run(&frame, &streaming, &id);
             assert_eq!(
                 df_base, df_stream,
-                "{id} @ batch {batch_rows} ({layout}): streaming changed the DataFrame"
+                "{id} @ batch {batch_rows} ({layout}): pipeline diverges from the reference DataFrame"
             );
             assert_eq!(
                 scanned_base, scanned_stream,
-                "{id} @ batch {batch_rows} ({layout}): streaming changed the scan work count"
+                "{id} @ batch {batch_rows} ({layout}): pipeline diverges from the reference scan count"
             );
         }
     }

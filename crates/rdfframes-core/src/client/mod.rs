@@ -124,8 +124,7 @@ pub struct EndpointStats {
     /// High-water mark of rows simultaneously live in any one embedded
     /// execution's pipeline (max of
     /// [`sparql_engine::ExecStats::peak_live_rows`] across requests):
-    /// O(batch size + breaker state) under streaming, O(result) when
-    /// `streaming` is off.
+    /// O(batch size + breaker state).
     pub peak_live_rows: AtomicU64,
 }
 

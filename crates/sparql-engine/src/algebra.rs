@@ -146,10 +146,10 @@ pub enum Plan {
         /// keys (ascending global [`rdf_model::TermId`] order). Empty
         /// straight out of translation; the optimizer fills it when
         /// interesting-order tracking proves the input sorted with the keys
-        /// as a prefix, letting the columnar evaluator detect group runs
-        /// over raw id column slices instead of hashing (with a run-time
-        /// sortedness check + hash fallback). Groups come out in
-        /// first-occurrence order either way, so the rewrite is invisible.
+        /// as a prefix. The columnar evaluator groups by hash either way; it
+        /// verifies the claim as batches pass and counts it in
+        /// `ExecStats::sorted_groups` when it held, so the annotation is
+        /// invisible in results.
         sorted_on: Vec<String>,
     },
     /// Projection to the named columns.
@@ -158,11 +158,11 @@ pub enum Plan {
     Distinct(Box<Plan>),
     /// Duplicate elimination over an input the optimizer proved sorted on
     /// `order` (the input's full interesting-order sequence). Never produced
-    /// by translation. The columnar evaluator deduplicates by linear run
-    /// detection over raw id column slices when `order` covers every output
-    /// column (verified at run time together with sortedness; hash fallback
-    /// otherwise). Keeps first occurrences in input order, exactly like
-    /// [`Plan::Distinct`], which row-oriented evaluators run it as.
+    /// by translation. Both evaluators deduplicate it exactly like
+    /// [`Plan::Distinct`] (first occurrences in input order); the columnar
+    /// evaluator also verifies the claim as batches pass (coverage of every
+    /// output column, full binding, sortedness) and counts it in
+    /// `ExecStats::sorted_distincts` when it held.
     SortedDistinct {
         /// The variable sequence the input is sorted by.
         order: Vec<String>,

@@ -19,15 +19,14 @@
 //!   [`ColumnBatch`]) instead of a fully `Term`-materialized table — the
 //!   in-process fast path for clients that consume columns.
 //!
-//! Evaluation is columnar and id-native by default: the whole pipeline runs
-//! on `u32` [`rdf_model::TermId`]s in struct-of-arrays batches and terms are
-//! materialized once at the end (see [`crate::eval`]). Two earlier
-//! evaluators are kept selectable for differential testing and baseline
-//! benchmarking: the PR 1 row-at-a-time id-native pipeline
-//! ([`EvalMode::IdNative`], [`crate::eval_rows`]) and the seed
-//! term-materialized one ([`EvalMode::TermReference`],
-//! [`crate::eval_reference`]). All three produce identical bags and
-//! identical `rows_scanned` work counts.
+//! Two evaluators exist. The columnar pull pipeline ([`crate::eval`]) is the
+//! engine: [`Engine::cursor`] hands its batches to the consumer as they are
+//! produced, and the `execute*` methods drain the very same pipeline into
+//! one table before materializing terms. The seed term-materialized
+//! evaluator ([`EvalMode::TermReference`], [`crate::eval_reference`]) is
+//! kept as an independent differential-testing oracle; both produce
+//! identical bags and identical `rows_scanned` work counts (the pipeline's
+//! `LIMIT` early exit, which scans less, is the one documented exception).
 
 use std::sync::Arc;
 
@@ -39,24 +38,25 @@ use crate::error::Result;
 use crate::eval::pipeline::{self, BoxOp};
 use crate::eval::Evaluator;
 use crate::eval_reference::ReferenceEvaluator;
-use crate::eval_rows::RowEvaluator;
 use crate::optimizer::Optimizer;
 use crate::parser::parse_query;
 use crate::pool::TermPool;
 use crate::results::{IdTable, SolutionTable};
 
+/// Rows per pipeline pull when the `execute*` paths drain a query: the
+/// embedded endpoint's default cursor batch, so both surfaces run the
+/// pipeline with the same batching (and engage the parallel BGP gate the
+/// same way).
+const EXECUTE_BATCH_ROWS: usize = 16_384;
+
 /// Which evaluator executes plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Columnar id-native pipeline (struct-of-arrays [`crate::results::IdTable`],
-    /// vectorized BGP extension and joins): the default.
+    /// The columnar pull pipeline (struct-of-arrays [`IdTable`] batches):
+    /// the default.
     #[default]
     Columnar,
-    /// The PR 1 row-at-a-time id-native pipeline (rows of `Option<TermId>`),
-    /// kept as a correctness oracle and perf baseline.
-    IdNative,
-    /// The seed term-materialized evaluator, kept as a correctness oracle
-    /// and perf baseline.
+    /// The seed term-materialized evaluator, kept as a correctness oracle.
     TermReference,
 }
 
@@ -82,13 +82,15 @@ pub struct EngineConfig {
     /// same condition (no effect with `optimize` off). Pure physical
     /// rewrite: unmatched left rows are emitted in place either way.
     pub merge_left_joins: bool,
-    /// Deduplicate DISTINCT by linear run detection when the input arrives
-    /// sorted on a sequence covering every output column (no effect with
-    /// `optimize` off; columnar evaluator only). Pure physical rewrite.
+    /// Annotate DISTINCT with the input's sort order when that order covers
+    /// every output column (no effect with `optimize` off). The pipeline
+    /// deduplicates by hash either way and verifies the claim as batches
+    /// pass; [`ExecStats::sorted_distincts`] counts the claims that held.
     pub sorted_distinct: bool,
-    /// Group by linear run detection when the grouping keys are a prefix of
-    /// the input's sort order (no effect with `optimize` off; columnar
-    /// evaluator only). Pure physical rewrite.
+    /// Annotate GROUP BY with the input's sort order when the grouping keys
+    /// are a prefix of it (no effect with `optimize` off). The physical
+    /// strategy is always hash grouping; the annotation only feeds the
+    /// verified-claim counter [`ExecStats::sorted_groups`].
     pub sorted_group_by: bool,
     /// Sort `ORDER BY ?var` by the dataset's cached term-rank permutation
     /// instead of materializing per-row key terms (columnar evaluator
@@ -102,23 +104,13 @@ pub struct EngineConfig {
     /// The deadline clock starts when an evaluator is created for a query,
     /// so each `execute_*`/`cursor` call gets the full allowance.
     pub budget: QueryBudget,
-    /// Worker threads for the columnar evaluator's parallel operators (BGP
-    /// extension, single-key hash join, mergeable GROUP BY). `1` (the
-    /// default) runs fully sequential; `n > 1` fans large inputs out over a
-    /// shared work-stealing pool. Results are byte-identical at any thread
-    /// count, and `rows_scanned` parity is exact. The oracle evaluators
-    /// ([`EvalMode::IdNative`], [`EvalMode::TermReference`]) always run
-    /// sequentially.
+    /// Worker threads for the pipeline's one parallel operator, BGP
+    /// extension. `1` (the default) runs fully sequential; `n > 1` fans
+    /// input blocks of at least 256 rows out over a shared work-stealing
+    /// pool. Results are byte-identical at any thread count, and
+    /// `rows_scanned` parity is exact. The reference evaluator
+    /// ([`EvalMode::TermReference`]) always runs sequentially.
     pub threads: usize,
-    /// Run [`Engine::cursor`] queries through the pull-based streaming
-    /// operator pipeline (bounded live state: each batch is produced on
-    /// demand, operators hold only their own state) instead of eagerly
-    /// materializing the whole result up front. Results, result order, and
-    /// `rows_scanned` are identical either way (the LIMIT early-exit is the
-    /// one documented scan-count exception); this flag only changes *when*
-    /// work happens and how much memory is live. Affects only the cursor
-    /// path — `execute*` always materializes, that is its contract.
-    pub streaming: bool,
 }
 
 impl EngineConfig {
@@ -143,7 +135,6 @@ impl EngineConfig {
             rank_order_by: true,
             budget: QueryBudget::unlimited(),
             threads,
-            streaming: true,
         }
     }
 }
@@ -160,17 +151,17 @@ pub struct ExecStats {
     /// Index entries scanned during evaluation.
     pub rows_scanned: u64,
     /// Inner joins that executed as order-preserving merge joins instead of
-    /// hash joins (columnar evaluator only; the oracle evaluators always
-    /// hash).
+    /// hash joins (columnar evaluator only; the reference evaluator always
+    /// hashes).
     pub merge_joins: u64,
     /// Left (OPTIONAL) joins that executed as order-preserving merge joins
     /// (columnar evaluator only).
     pub merge_left_joins: u64,
-    /// DISTINCT operators that deduplicated by linear run detection over
-    /// sorted input instead of hashing (columnar evaluator only).
+    /// DISTINCT operators whose sort-order claim held over their whole
+    /// input (columnar evaluator only). Deduplication itself always hashes.
     pub sorted_distincts: u64,
-    /// GROUP BY operators that grouped by linear run detection over sorted
-    /// input instead of hashing (columnar evaluator only).
+    /// GROUP BY operators whose sort-order claim held over their whole
+    /// input (columnar evaluator only). Grouping itself always hashes.
     pub sorted_groups: u64,
     /// Configured worker count the query ran with (1 = sequential).
     pub par_workers: u64,
@@ -183,16 +174,18 @@ pub struct ExecStats {
     /// Nanoseconds spent folding parallel chunk results back together in
     /// chunk order (the deterministic merge phases).
     pub par_merge_nanos: u64,
-    /// Peak rows simultaneously live across the cursor's operator pipeline
-    /// (operator state plus the batch being emitted), sampled after every
-    /// batch. On the streaming path this is O(batch size + breaker state),
-    /// not O(result); on the materializing path it is the full result size.
-    /// Zero on the `execute*` paths, which don't track liveness.
+    /// Peak rows simultaneously live across the operator pipeline (operator
+    /// state plus the batch being emitted), sampled after every batch:
+    /// O(batch size + breaker state), not O(result). The `execute*` paths
+    /// sample it the same way at their fixed 16,384-row batch and do not
+    /// count the table they accumulate the result into, so they report
+    /// exactly what a cursor drain at that batch size reports.
     pub peak_live_rows: u64,
     /// Peak estimated heap bytes simultaneously live (same sampling as
     /// [`ExecStats::peak_live_rows`]).
     pub peak_live_bytes: u64,
-    /// Batches the cursor handed to the consumer (zero on `execute*`).
+    /// Batches the pipeline's root produced (handed to the cursor consumer,
+    /// or drained into the result on `execute*`).
     pub batches_emitted: u64,
 }
 
@@ -300,9 +293,10 @@ impl Engine {
 
     /// Execute and return only rows `[offset, offset+limit)` of the result.
     ///
-    /// On the id-native path the slice happens *before* term
-    /// materialization, so a paginating endpoint only pays for the rows it
-    /// actually ships.
+    /// The whole result is evaluated (so every page reports the same
+    /// `rows_scanned` as a full execution) and the slice happens *before*
+    /// term materialization, so a paginating endpoint only pays for
+    /// materializing the rows it actually ships.
     pub fn execute_page(
         &self,
         query: &str,
@@ -317,54 +311,39 @@ impl Engine {
     /// `[offset, offset+limit)`. Each call re-evaluates from scratch (the
     /// HTTP pagination model); the saving over [`Engine::execute_page`] is
     /// the parse + translate + optimize front half.
+    ///
+    /// On the columnar evaluator this drains the same pipeline
+    /// [`Engine::cursor`] builds, at a fixed 16,384-row batch, into one
+    /// table. That table is live state like any pipeline breaker's and is
+    /// charged against the budget as it grows.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedQuery,
         page: Option<(usize, usize)>,
     ) -> Result<(SolutionTable, ExecStats)> {
-        let plan = &prepared.plan;
         match self.config.eval_mode {
             EvalMode::Columnar => {
-                let mut evaluator = Evaluator::new(&self.dataset, prepared.from.clone());
-                evaluator.set_rank_sort(self.config.rank_order_by);
-                evaluator.set_budget(&self.config.budget);
-                evaluator.set_threads(self.config.threads);
-                let table = match page {
-                    None => evaluator.eval(plan)?,
-                    Some((offset, limit)) => evaluator.eval_page(plan, offset, limit)?,
-                };
-                let par = evaluator.par_stats();
-                let stats = ExecStats {
-                    rows_scanned: evaluator.rows_scanned(),
-                    merge_joins: evaluator.merge_joins(),
-                    merge_left_joins: evaluator.merge_left_joins(),
-                    sorted_distincts: evaluator.sorted_distincts(),
-                    sorted_groups: evaluator.sorted_groups(),
-                    par_workers: evaluator.threads() as u64,
-                    par_chunks: par.chunks,
-                    par_steals: par.steals,
-                    par_merge_nanos: par.merge_nanos,
-                    ..ExecStats::default()
-                };
-                Ok((table, stats))
-            }
-            EvalMode::IdNative => {
-                let mut evaluator = RowEvaluator::new(&self.dataset, prepared.from.clone());
-                evaluator.set_budget(&self.config.budget);
-                let table = match page {
-                    None => evaluator.eval(plan)?,
-                    Some((offset, limit)) => evaluator.eval_page(plan, offset, limit)?,
-                };
-                let stats = ExecStats {
-                    rows_scanned: evaluator.rows_scanned(),
-                    ..ExecStats::default()
-                };
-                Ok((table, stats))
+                let mut cursor = self.cursor(prepared, EXECUTE_BATCH_ROWS)?;
+                let mut table = IdTable::with_vars(cursor.vars.clone());
+                while let Some(batch) = cursor.pull()? {
+                    if table.is_empty() {
+                        table = batch;
+                    } else {
+                        table.append(&batch);
+                    }
+                    cursor
+                        .evaluator
+                        .charge_intermediate(table.len() as u64, table.estimated_bytes())?;
+                }
+                if let Some((offset, limit)) = page {
+                    table.slice(offset, Some(limit));
+                }
+                Ok((cursor.evaluator.materialize(table), cursor.stats()))
             }
             EvalMode::TermReference => {
                 let mut evaluator = ReferenceEvaluator::new(&self.dataset, prepared.from.clone());
                 evaluator.set_budget(&self.config.budget);
-                let mut table = evaluator.eval(plan)?;
+                let mut table = evaluator.eval(&prepared.plan)?;
                 if let Some((offset, limit)) = page {
                     crate::results::slice_rows(&mut table.rows, offset, Some(limit));
                 }
@@ -382,18 +361,15 @@ impl Engine {
     /// materialized by the engine; the consumer decodes ids through the
     /// cursor's pool (typically once per *distinct* id).
     ///
-    /// With [`EngineConfig::streaming`] on (the default) the plan compiles
-    /// into a pull-based operator pipeline and each `next_batch` call does
-    /// just enough work to produce one batch: live memory stays bounded by
-    /// the batch size plus any pipeline breaker's own state, and a `LIMIT`
-    /// stops pulling (and therefore scanning) as soon as it is satisfied.
-    /// With it off, evaluation is eager — the whole result materializes
-    /// here and batches are windows over it. Both modes produce
-    /// byte-identical batches in the same order.
+    /// The plan compiles into a pull-based operator pipeline and each
+    /// `next_batch` call does just enough work to produce one batch: live
+    /// memory stays bounded by the batch size plus any pipeline breaker's
+    /// own state, and a `LIMIT` stops pulling (and therefore scanning) as
+    /// soon as it is satisfied.
     ///
     /// The cursor always runs the columnar evaluator — the id-table layout
     /// *is* the interface — regardless of the configured [`EvalMode`] (the
-    /// oracle modes exist for differential testing of the string path).
+    /// reference mode exists for differential testing of the string path).
     pub fn cursor<'a>(
         &'a self,
         prepared: &'a PreparedQuery,
@@ -408,53 +384,32 @@ impl Engine {
         evaluator.set_rank_sort(self.config.rank_order_by);
         evaluator.set_budget(&self.config.budget);
         evaluator.set_threads(self.config.threads);
-        let (source, peak_rows, peak_bytes) = if self.config.streaming {
-            let op = pipeline::build(&evaluator, &prepared.plan)?;
-            (Source::Streamed(op), 0, 0)
-        } else {
-            let table = evaluator.eval_to_ids(&prepared.plan)?;
-            // Eager evaluation held the full result live by construction.
-            let (rows, bytes) = (table.len() as u64, table.estimated_bytes());
-            (Source::Materialized { table, pos: 0 }, rows, bytes)
-        };
-        let vars = match &source {
-            Source::Streamed(op) => op.vars().to_vec(),
-            Source::Materialized { table, .. } => table.vars.clone(),
-        };
+        let root = pipeline::build(&evaluator, &prepared.plan)?;
         Ok(QueryCursor {
             evaluator,
-            source,
-            vars,
+            vars: root.vars().to_vec(),
+            root,
             batch_rows: batch_rows.max(1),
             meter,
             emitted: 0,
             batches_emitted: 0,
-            peak_live_rows: peak_rows,
-            peak_live_bytes: peak_bytes,
+            peak_live_rows: 0,
+            peak_live_bytes: 0,
         })
     }
-}
-
-/// Where a cursor's batches come from.
-enum Source<'a> {
-    /// Pull-based operator pipeline: each batch is computed on demand.
-    Streamed(BoxOp<'a>),
-    /// Eagerly evaluated result; batches are copied windows over it.
-    Materialized { table: IdTable, pos: usize },
 }
 
 /// Streaming columnar view over one query's result.
 ///
 /// Owns the evaluator (and therefore the term pool that can resolve every
 /// id the query produces — dataset-global ids and query-local overflow ids
-/// from computed expressions alike) plus the batch source: the operator
-/// pipeline when streaming, the materialized table otherwise.
+/// from computed expressions alike) plus the root of the operator pipeline.
 /// [`QueryCursor::next_batch`] yields the result in `batch_rows`-bounded
 /// [`ColumnBatch`]es; consumers build typed columns without ever seeing a
 /// row-materialized [`Term`] table.
 pub struct QueryCursor<'a> {
     evaluator: Evaluator<'a>,
-    source: Source<'a>,
+    root: BoxOp<'a>,
     vars: Vec<String>,
     batch_rows: usize,
     meter: BudgetMeter,
@@ -471,16 +426,16 @@ impl QueryCursor<'_> {
     }
 
     /// Index entries scanned so far (same metric as
-    /// [`ExecStats::rows_scanned`]). On the streaming path this grows as
-    /// batches are pulled; read it after draining for the whole-query
-    /// number the `execute*` paths report.
+    /// [`ExecStats::rows_scanned`]). This grows as batches are pulled; read
+    /// it after draining for the whole-query number the `execute*` paths
+    /// report.
     pub fn rows_scanned(&self) -> u64 {
         self.evaluator.rows_scanned()
     }
 
     /// Execution statistics so far (work metric, rewrite counters, peak
-    /// live-memory high-water marks). Streaming counters are final only
-    /// once the cursor is drained.
+    /// live-memory high-water marks). Counters are final only once the
+    /// cursor is drained.
     pub fn stats(&self) -> ExecStats {
         let par = self.evaluator.par_stats();
         ExecStats {
@@ -506,53 +461,46 @@ impl QueryCursor<'_> {
 
     /// The next window of rows, or `Ok(None)` when the result is exhausted.
     ///
-    /// On the streaming path this is where evaluation happens: the root
-    /// operator is pulled for up to `batch_rows` rows and every budget axis
-    /// (scan, memory, deadline) is enforced inside the pull. The deadline
-    /// is additionally checked here even when no work remains, so a
-    /// consumer that drains a large result slowly is still cancelled.
+    /// This is where evaluation happens: the root operator is pulled for up
+    /// to `batch_rows` rows and every budget axis (scan, memory, deadline)
+    /// is enforced inside the pull. The deadline is additionally checked
+    /// here even when no work remains, so a consumer that drains a large
+    /// result slowly is still cancelled.
     pub fn next_batch(&mut self) -> Result<Option<ColumnBatch<'_>>> {
-        self.meter.check_deadline()?;
-        let window = match &mut self.source {
-            Source::Streamed(op) => {
-                let out = op.next_batch(&mut self.evaluator, self.batch_rows)?;
-                let (live_rows, live_bytes) = op.live_size();
-                let (out_rows, out_bytes) = match &out {
-                    Some(t) => (t.len() as u64, t.estimated_bytes()),
-                    None => (0, 0),
-                };
-                self.peak_live_rows = self.peak_live_rows.max(live_rows.saturating_add(out_rows));
-                self.peak_live_bytes = self
-                    .peak_live_bytes
-                    .max(live_bytes.saturating_add(out_bytes));
-                out
-            }
-            Source::Materialized { table, pos } => {
-                if *pos >= table.len() {
-                    None
-                } else {
-                    let len = self.batch_rows.min(table.len() - *pos);
-                    let idx: Vec<u32> = (*pos as u32..(*pos + len) as u32).collect();
-                    *pos += len;
-                    Some(table.gather_rows(&idx))
-                }
-            }
+        let Some(table) = self.pull()? else {
+            return Ok(None);
         };
-        match window {
-            None => Ok(None),
-            Some(t) => {
-                let start = self.emitted;
-                let len = t.len();
-                self.emitted += len;
-                self.batches_emitted += 1;
-                Ok(Some(ColumnBatch {
-                    table: t,
-                    pool: self.evaluator.pool(),
-                    start,
-                    len,
-                }))
-            }
+        let start = self.emitted;
+        let len = table.len();
+        self.emitted += len;
+        Ok(Some(ColumnBatch {
+            table,
+            pool: self.evaluator.pool(),
+            start,
+            len,
+        }))
+    }
+
+    /// Pull the root for one batch and sample the pipeline's live size
+    /// (operator state plus the batch just produced) into the peak
+    /// counters. Shared by [`QueryCursor::next_batch`] and the `execute*`
+    /// drain, so both report the same statistics.
+    fn pull(&mut self) -> Result<Option<IdTable>> {
+        self.meter.check_deadline()?;
+        let out = self.root.next_batch(&mut self.evaluator, self.batch_rows)?;
+        let (live_rows, live_bytes) = self.root.live_size();
+        let (out_rows, out_bytes) = match &out {
+            Some(t) => (t.len() as u64, t.estimated_bytes()),
+            None => (0, 0),
+        };
+        self.peak_live_rows = self.peak_live_rows.max(live_rows.saturating_add(out_rows));
+        self.peak_live_bytes = self
+            .peak_live_bytes
+            .max(live_bytes.saturating_add(out_bytes));
+        if out.is_some() {
+            self.batches_emitted += 1;
         }
+        Ok(out)
     }
 }
 
@@ -639,14 +587,10 @@ mod tests {
     #[test]
     fn out_of_range_pages_come_back_empty_on_every_evaluator() {
         // `offset > len` (and saturating offset+limit arithmetic) must
-        // yield an empty table — never a panic or a debug overflow — on all
-        // three evaluators, through both the page API and query text.
+        // yield an empty table — never a panic or a debug overflow — on
+        // both evaluators, through both the page API and query text.
         let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
-        for eval_mode in [
-            EvalMode::Columnar,
-            EvalMode::IdNative,
-            EvalMode::TermReference,
-        ] {
+        for eval_mode in [EvalMode::Columnar, EvalMode::TermReference] {
             let engine = Engine::with_config(
                 dataset(),
                 EngineConfig {
@@ -688,36 +632,29 @@ mod tests {
         let prepared = engine.prepare(q).unwrap();
         let expected = engine.execute(q).unwrap();
 
-        for streaming in [true, false] {
-            let engine = Engine::with_config(
-                dataset(),
-                EngineConfig {
-                    streaming,
-                    ..EngineConfig::new()
-                },
-            );
-            let mut cursor = engine.cursor(&prepared, 4).unwrap();
-            assert_eq!(cursor.vars(), expected.vars.as_slice());
-            let mut rebuilt: Vec<Vec<Option<Term>>> = Vec::new();
-            let mut batch_sizes = Vec::new();
-            while let Some(batch) = cursor.next_batch().unwrap() {
-                batch_sizes.push(batch.len);
-                for row in 0..batch.len {
-                    rebuilt.push(
-                        (0..batch.vars().len())
-                            .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
-                            .collect(),
-                    );
-                }
+        let mut cursor = engine.cursor(&prepared, 4).unwrap();
+        assert_eq!(cursor.vars(), expected.vars.as_slice());
+        let mut rebuilt: Vec<Vec<Option<Term>>> = Vec::new();
+        let mut batch_sizes = Vec::new();
+        while let Some(batch) = cursor.next_batch().unwrap() {
+            batch_sizes.push(batch.len);
+            for row in 0..batch.len {
+                rebuilt.push(
+                    (0..batch.vars().len())
+                        .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
+                        .collect(),
+                );
             }
-            assert_eq!(batch_sizes, vec![4, 4, 2], "streaming={streaming}");
-            assert_eq!(rebuilt, expected.rows, "streaming={streaming}");
-            // Work metric matches the string path (read after draining:
-            // the streaming cursor scans as batches are pulled).
-            let (_, stats) = engine.execute_with_stats(q).unwrap();
-            assert_eq!(cursor.rows_scanned(), stats.rows_scanned);
-            assert_eq!(cursor.stats().batches_emitted, 3);
         }
+        assert_eq!(batch_sizes, vec![4, 4, 2]);
+        assert_eq!(rebuilt, expected.rows);
+        // Work metric matches the string path (read after draining: the
+        // cursor scans as batches are pulled).
+        let (_, stats) = engine.execute_with_stats(q).unwrap();
+        assert_eq!(cursor.rows_scanned(), stats.rows_scanned);
+        assert_eq!(cursor.stats().batches_emitted, 3);
+        // `execute*` drains the same pipeline in one 16,384-row batch.
+        assert_eq!(stats.batches_emitted, 1);
     }
 
     #[test]

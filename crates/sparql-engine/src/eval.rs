@@ -1,33 +1,31 @@
-//! Columnar (vectorized) id-native plan evaluation — the default engine.
+//! Columnar id-native plan evaluation: the evaluator state and the operator
+//! kernels behind the pull pipeline.
 //!
 //! Implements the SPARQL multiset semantics of the paper's Section 5.2 over
 //! the struct-of-arrays [`IdTable`]: one dense `Vec<TermId>` per variable
 //! column plus a presence bitmap, instead of a `Vec<Option<TermId>>` per
-//! row. The operators are batch-oriented:
+//! row. There is one evaluation flow: [`pipeline::build`] turns a plan into
+//! a tree of pull-based operators, and both [`crate::Engine::cursor`] and
+//! the `execute*` methods drive that tree. This module owns what the
+//! operators share:
 //!
-//! - **BGP extension** walks the store's sorted-slab access paths
-//!   ([`rdf_model::Graph`]) and appends match results into *column buffers*
-//!   (a gather-index vector plus one value vector per newly-bound
-//!   variable). No per-row `Vec` is ever allocated; previously-bound
-//!   columns are carried forward with a single contiguous gather.
-//! - **Hash joins** pick their key columns with a bitmap popcount
-//!   ([`Column::all_present`]), build on raw `&[TermId]` column slices,
-//!   and emit output columns by gathering over the matched pair list.
-//! - **DISTINCT** and **GROUP BY** key directly off column slices,
-//!   hashing `u64`-encoded cells (id + presence), never terms.
-//! - **Aggregates** run id-native where the shape allows: `COUNT[DISTINCT]`
-//!   over a column counts ids; `MIN`/`MAX`/`SUM`/`AVG` over a
-//!   numeric-literal column accumulate parsed `i64`/`f64` values without
-//!   materializing a single [`Term`] per row (mixed-type columns fall back
-//!   to term-based [`AggState`]); DISTINCT inputs of general expressions
-//!   intern through the [`TermPool`] and dedup on ids.
+//! - [`Evaluator`]: per-query state (term pool, expression caches, budget
+//!   meter, work and rewrite counters, the parallel context).
+//! - **BGP extension** ([`bgp_scan_rows`]) walks the store's sorted-slab
+//!   access paths ([`rdf_model::Graph`]) and appends match results into
+//!   *column buffers* (a gather-index vector plus one value vector per
+//!   newly-bound variable); [`Evaluator::extend_rows`] fans large blocks
+//!   out over the work-stealing pool.
+//! - **Joins** share [`JoinShape`] (key columns, output schema, SPARQL
+//!   compatibility) and [`assemble_join`] (gather over a pair list).
+//! - **Filter, extend, sort, top-k, and project** bodies, applied by the
+//!   operators to a batch or to a breaker's accumulated input.
 //!
 //! Terms are materialized only at expression/sort boundaries (through a
-//! reused scratch row) and at the final projection. The two earlier
-//! evaluators — PR 1's row-at-a-time id-native pipeline
-//! ([`crate::eval_rows`]) and the seed term-materialized one
-//! ([`crate::eval_reference`]) — are kept as differential-testing oracles:
-//! all three produce identical bags and identical `rows_scanned` counts.
+//! reused scratch row) and at the final projection. The seed
+//! term-materialized evaluator ([`crate::eval_reference`]) is kept as the
+//! differential-testing oracle: both produce identical bags and identical
+//! `rows_scanned` counts.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -35,7 +33,6 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rdf_model::term::{Literal, TypedValue};
 use rdf_model::{Dataset, Graph, GraphIdMap, Term, TermId};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
@@ -126,9 +123,8 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Enable `n`-way parallel execution of the hot operators (BGP
-    /// extension, single-key hash join, mergeable GROUP BY). `n <= 1`
-    /// disables it. Output is byte-identical to sequential execution —
+    /// Enable `n`-way parallel BGP extension (the one parallel operator).
+    /// `n <= 1` disables it. Output is byte-identical to sequential execution —
     /// chunk results are folded back in chunk order, which reproduces row
     /// order exactly — and `rows_scanned` parity is exact.
     pub fn set_threads(&mut self, n: usize) {
@@ -190,38 +186,8 @@ impl<'a> Evaluator<'a> {
         self.meter = BudgetMeter::new(budget);
     }
 
-    /// Evaluate a plan to a materialized solution table.
-    pub fn eval(&mut self, plan: &Plan) -> Result<SolutionTable> {
-        let table = self.eval_ids(plan)?;
-        Ok(self.materialize(table))
-    }
-
-    /// Evaluate a plan and materialize only rows `[offset, offset+limit)`.
-    ///
-    /// Pagination endpoints re-execute per chunk; slicing *before* term
-    /// materialization means only the shipped page allocates terms.
-    pub fn eval_page(&mut self, plan: &Plan, offset: usize, limit: usize) -> Result<SolutionTable> {
-        let mut table = self.eval_ids(plan)?;
-        table.slice(offset, Some(limit));
-        Ok(self.materialize(table))
-    }
-
-    /// Evaluate a plan to the raw columnar id table *without* materializing
-    /// terms — the embedded execution path ([`crate::engine::QueryCursor`])
-    /// hands these columns straight to the client together with the pool.
-    pub fn eval_to_ids(&mut self, plan: &Plan) -> Result<IdTable> {
-        self.eval_ids(plan)
-    }
-
-    /// Consume the evaluator, keeping its term pool alive so ids from an
-    /// [`Evaluator::eval_to_ids`] table (including computed overflow terms)
-    /// stay resolvable after evaluation ends.
-    pub fn into_pool(self) -> TermPool<'a> {
-        self.pool
-    }
-
     /// Resolve ids to owned terms (the single materialization point).
-    fn materialize(&self, table: IdTable) -> SolutionTable {
+    pub(crate) fn materialize(&self, table: IdTable) -> SolutionTable {
         let width = table.vars.len();
         let mut rows = Vec::with_capacity(table.len());
         for i in 0..table.len() {
@@ -237,125 +203,10 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluate a plan to a columnar id table (the internal hot path).
-    ///
-    /// Every operator's output passes through this chokepoint, where its
-    /// row count and estimated footprint are checked against the budget —
-    /// operators whose hot loops can balloon *before* producing output
-    /// (BGP extension, join pair emission, group accumulation) carry
-    /// additional in-loop checks of their own.
-    fn eval_ids(&mut self, plan: &Plan) -> Result<IdTable> {
-        let t = self.eval_ids_node(plan)?;
-        self.meter
-            .charge_intermediate(t.len() as u64, t.estimated_bytes())?;
-        Ok(t)
-    }
-
-    fn eval_ids_node(&mut self, plan: &Plan) -> Result<IdTable> {
-        match plan {
-            Plan::Unit => Ok(IdTable::unit()),
-            Plan::Bgp {
-                patterns,
-                graph,
-                filters,
-            } => self.eval_bgp(patterns, graph, filters),
-            Plan::Join(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                join(
-                    left,
-                    right,
-                    JoinKind::Inner,
-                    &mut self.meter,
-                    self.par.as_ref(),
-                    &mut self.par_stats,
-                )
-            }
-            Plan::MergeJoin { left, right, key } => {
-                let left = self.eval_ids(left)?;
-                let right = self.eval_ids(right)?;
-                self.join_sorted(left, right, key, JoinKind::Inner)
-            }
-            Plan::MergeLeftJoin { left, right, key } => {
-                let left = self.eval_ids(left)?;
-                let right = self.eval_ids(right)?;
-                self.join_sorted(left, right, key, JoinKind::Left)
-            }
-            Plan::LeftJoin(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                join(
-                    left,
-                    right,
-                    JoinKind::Left,
-                    &mut self.meter,
-                    self.par.as_ref(),
-                    &mut self.par_stats,
-                )
-            }
-            Plan::Union(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                Ok(union(left, right))
-            }
-            Plan::Filter(expr, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(self.filter_table(expr, t))
-            }
-            Plan::Extend(var, expr, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(self.extend_table(var, expr, t))
-            }
-            Plan::Group {
-                keys,
-                aggs,
-                input,
-                sorted_on,
-            } => {
-                let t = self.eval_ids(input)?;
-                self.eval_group(keys, aggs, sorted_on, t)
-            }
-            Plan::Project(vars, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(project_table(vars, t))
-            }
-            Plan::Distinct(p) => {
-                let t = self.eval_ids(p)?;
-                Ok(hash_distinct(t))
-            }
-            Plan::SortedDistinct { order, input } => {
-                let mut t = self.eval_ids(input)?;
-                match sorted_distinct_mask(&t, order) {
-                    Some(keep) => {
-                        self.sorted_distincts += 1;
-                        t.filter_mask(&keep);
-                        Ok(t)
-                    }
-                    // Coverage or sortedness claim failed at run time: the
-                    // hash path produces the identical keep-first bag.
-                    None => Ok(hash_distinct(t)),
-                }
-            }
-            Plan::OrderBy(keys, p) => {
-                let mut t = self.eval_ids(p)?;
-                self.sort_rows(&mut t, keys);
-                Ok(t)
-            }
-            Plan::TopK { keys, k, input } => {
-                let mut t = self.eval_ids(input)?;
-                self.top_k(&mut t, keys, *k);
-                Ok(t)
-            }
-            Plan::Slice {
-                limit,
-                offset,
-                input,
-            } => {
-                let mut t = self.eval_ids(input)?;
-                t.slice(*offset, *limit);
-                Ok(t)
-            }
-        }
+    /// Charge a live table (the `execute*` result accumulator) against the
+    /// budget's intermediate-rows and memory axes.
+    pub(crate) fn charge_intermediate(&mut self, rows: u64, bytes: u64) -> Result<()> {
+        self.meter.charge_intermediate(rows, bytes)
     }
 
     fn resolve_graphs(&self, graph: &GraphRef) -> Result<Vec<(Arc<Graph>, Arc<GraphIdMap>)>> {
@@ -386,179 +237,10 @@ impl<'a> Evaluator<'a> {
         Ok(graphs)
     }
 
-    /// Vectorized index-nested-loop evaluation of a BGP in pattern order.
-    ///
-    /// Per pattern, matches are recorded as a gather-index vector (`src`,
-    /// which input row produced the match) plus one dense value vector per
-    /// variable the pattern newly binds. The next table is then assembled
-    /// column-at-a-time: carried columns gather contiguously, new columns
-    /// take the value vectors verbatim. Scan results stream straight into
-    /// these buffers — no row objects exist at any point.
-    ///
-    /// Pushed filters ([`PushedFilter`]) are tested inside the match
-    /// callback of the pattern that binds their variable: a failing
-    /// candidate returns before anything is appended, so it neither
-    /// occupies the gather/value buffers nor feeds later patterns' scans.
-    fn eval_bgp(
-        &mut self,
-        patterns: &[TriplePattern],
-        graph: &GraphRef,
-        filters: &[PushedFilter],
-    ) -> Result<IdTable> {
-        let graphs = self.resolve_graphs(graph)?;
-
-        // Variable schema in first-mention order.
-        let mut vars: Vec<String> = Vec::new();
-        for p in patterns {
-            for v in p.variables() {
-                if !vars.iter().any(|x| x == v) {
-                    vars.push(v.to_string());
-                }
-            }
-        }
-        let width = vars.len();
-        let var_idx: HashMap<&str, usize> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-
-        // Borrow the fields the scan callback needs up front so it never
-        // re-borrows `self` (the work counter accumulates locally).
-        let dataset = self.dataset;
-        let pool = &self.pool;
-        let mut scanned = 0u64;
-
-        // Compile each pushed filter at its shared attachment pattern
-        // ([`crate::algebra::attach_filters`]).
-        let mut pattern_filters: Vec<Vec<(usize, PushedEval)>> =
-            crate::algebra::attach_filters(patterns, filters, |v| var_idx[v])
-                .into_iter()
-                .map(|routed| {
-                    routed
-                        .into_iter()
-                        .map(|(col, f)| (col, PushedEval::compile(&f.var, &f.expr, pool)))
-                        .collect()
-                })
-                .collect();
-
-        // One all-absent row: the BGP extension identity.
-        let mut cur: Vec<Column> = (0..width).map(|_| Column::absent(1)).collect();
-        let mut cur_len = 1usize;
-        // A variable is bound in *all* rows once any earlier pattern
-        // mentioned it (every surviving row passed through that pattern).
-        let mut bound = vec![false; width];
-
-        for (pi, pattern) in patterns.iter().enumerate() {
-            if cur_len == 0 {
-                break;
-            }
-            // Resolve constants once per (pattern, graph) — local ids via
-            // the dataset-wide interner, no per-row string hashing. A graph
-            // where some constant does not occur contributes no matches.
-            let pats: Vec<(&Graph, &GraphIdMap, [Slot; 3])> = graphs
-                .iter()
-                .filter_map(|(g, map)| {
-                    let s = Self::pattern_slot(dataset, &pattern.subject, map, &var_idx)?;
-                    let p = Self::pattern_slot(dataset, &pattern.predicate, map, &var_idx)?;
-                    let o = Self::pattern_slot(dataset, &pattern.object, map, &var_idx)?;
-                    Some((g.as_ref(), map.as_ref(), [s, p, o]))
-                })
-                .collect();
-
-            // Classify the pattern's positions (graph-independent): which
-            // columns the pattern newly binds (one value vector each), and
-            // which positions repeat a newly-bound variable (`?x ?p ?x`)
-            // and therefore need an equality check per match.
-            let terms = [&pattern.subject, &pattern.predicate, &pattern.object];
-            let mut free_cols: Vec<usize> = Vec::new(); // col per value slot
-            let mut primaries: Vec<(usize, usize)> = Vec::new(); // (slot, position)
-            let mut dup_checks: Vec<(usize, usize)> = Vec::new(); // (position, position)
-            for (pos, term) in terms.iter().enumerate() {
-                if let PatternTerm::Var(v) = term {
-                    let col = var_idx[v.as_str()];
-                    if bound[col] {
-                        continue;
-                    }
-                    match free_cols.iter().position(|&c| c == col) {
-                        Some(slot) => dup_checks.push((primaries[slot].1, pos)),
-                        None => {
-                            let slot = free_cols.len();
-                            free_cols.push(col);
-                            primaries.push((slot, pos));
-                        }
-                    }
-                }
-            }
-
-            // Filters firing at this pattern, routed to the value slot
-            // their variable binds into. Owned (not borrowed from
-            // `pattern_filters`): the parallel path clones them per chunk,
-            // and each compiled filter serves exactly this one pattern, so
-            // its memo's lifetime is unchanged.
-            let mut checks: Vec<(usize, PushedEval)> = std::mem::take(&mut pattern_filters[pi])
-                .into_iter()
-                .map(|(col, pe)| {
-                    let slot = free_cols
-                        .iter()
-                        .position(|c| *c == col)
-                        .expect("filter var is newly bound at its attachment pattern");
-                    (slot, pe)
-                })
-                .collect();
-
-            let n_slots = free_cols.len();
-            let (pat_src, mut pat_vals, pat_scanned) = self.extend_rows(
-                0..cur_len,
-                &pats,
-                &cur,
-                &bound,
-                &primaries,
-                &dup_checks,
-                &mut checks,
-                n_slots,
-            )?;
-            scanned += pat_scanned;
-
-            // Assemble the next table column-at-a-time.
-            let total = pat_src.len();
-            let mut next: Vec<Column> = Vec::with_capacity(width);
-            for (col, cur_col) in cur.iter().enumerate() {
-                if bound[col] {
-                    let mut out = Column::with_capacity(total);
-                    out.gather_from(cur_col, &pat_src);
-                    next.push(out);
-                } else if let Some(slot) = free_cols.iter().position(|&c| c == col) {
-                    next.push(Column::from_ids(std::mem::take(&mut pat_vals[slot])));
-                } else {
-                    next.push(Column::absent(total));
-                }
-            }
-            cur = next;
-            cur_len = total;
-            // Per-pattern intermediates never reach the operator-output
-            // chokepoint, so check each assembled table here.
-            if self.meter.is_active() {
-                let bytes = cur
-                    .iter()
-                    .fold(0u64, |a, c| a.saturating_add(c.estimated_bytes()));
-                self.meter.charge_intermediate(cur_len as u64, bytes)?;
-            }
-            for &col in &free_cols {
-                bound[col] = true;
-            }
-        }
-        self.rows_scanned += scanned;
-        drop(var_idx);
-        Ok(IdTable::from_columns(vars, cur, cur_len))
-    }
-
     /// Extend the input rows `rows` (drawn from `cur`/`bound`) through one
     /// pattern's resolved graph scans, choosing between the sequential loop
-    /// and the chunked parallel fan-out. Factored out of [`Self::eval_bgp`]
-    /// so the streaming pipeline's BGP operator reuses the identical
-    /// decision and loop bodies — result, `rows_scanned`, and parallel
-    /// chunk-accounting parity is inherited rather than re-implemented.
+    /// and the chunked parallel fan-out. The pipeline's BGP operator calls
+    /// this for every fresh block of input rows.
     ///
     /// Parallel path: the rows fan out over chunks; each chunk runs the
     /// identical loop body with its own buffers, filter clones, caches, and
@@ -752,40 +434,6 @@ impl<'a> Evaluator<'a> {
         Some((col, self.pool.lookup(konst), negate))
     }
 
-    /// Join (inner or left) of two inputs the optimizer proved sorted on
-    /// `key`. Verifies the claim at run time (both key columns fully bound
-    /// and non-decreasing — one linear pass, far cheaper than a hash build)
-    /// and falls back to the hash join if storage reality disagrees with
-    /// the static analysis.
-    fn join_sorted(
-        &mut self,
-        left: IdTable,
-        right: IdTable,
-        key: &str,
-        kind: JoinKind,
-    ) -> Result<IdTable> {
-        if let (Some(lc), Some(rc)) = (left.column_index(key), right.column_index(key)) {
-            let sorted = |t: &IdTable, c: usize| {
-                t.col(c).all_present() && t.col(c).ids().windows(2).all(|w| w[0] <= w[1])
-            };
-            if sorted(&left, lc) && sorted(&right, rc) {
-                match kind {
-                    JoinKind::Inner => self.merge_joins += 1,
-                    JoinKind::Left => self.merge_left_joins += 1,
-                }
-                return merge_join(left, right, lc, rc, kind, &mut self.meter);
-            }
-        }
-        join(
-            left,
-            right,
-            kind,
-            &mut self.meter,
-            self.par.as_ref(),
-            &mut self.par_stats,
-        )
-    }
-
     /// Pattern-level slot for one position: a constant bound to its local id
     /// (`None` when the constant is absent from the graph) or a variable's
     /// column index.
@@ -803,602 +451,6 @@ impl<'a> Evaluator<'a> {
                 Some(Slot::Bound(local))
             }
         }
-    }
-
-    fn eval_group(
-        &mut self,
-        keys: &[String],
-        aggs: &[AggSpec],
-        sorted_on: &[String],
-        input: IdTable,
-    ) -> Result<IdTable> {
-        let key_indices: Vec<Option<usize>> = keys.iter().map(|k| input.column_index(k)).collect();
-
-        // Per-aggregate execution plan, id-native where the shape allows:
-        //
-        // - `COUNT[ DISTINCT](?v)` counts ids straight off the column.
-        // - `SUM/AVG/MIN/MAX(?v)` over a column whose bound values are all
-        //   numeric literals (no NaN) accumulates parsed `i64`/`f64`
-        //   without materializing a term per row; mixed-type columns fall
-        //   back to the general term path.
-        // - `SAMPLE(?v)` takes the first bound id.
-        // - Everything else evaluates the expression per row (the
-        //   materialization boundary for aggregates).
-        enum AggPlan<'e> {
-            Star,
-            CountCol { idx: usize, distinct: bool },
-            NumericCol { idx: usize, distinct: bool },
-            SampleCol { idx: usize },
-            General(&'e Expr),
-        }
-        // The numeric precheck is O(rows); memoize per column so repeated
-        // aggregates over one column (MIN+MAX+SUM+AVG of ?v) scan it once.
-        let mut numeric_memo: HashMap<usize, bool> = HashMap::new();
-        let plans: Vec<AggPlan> = aggs
-            .iter()
-            .map(|spec| match &spec.expr {
-                None => AggPlan::Star,
-                Some(Expr::Var(v)) => match input.column_index(v) {
-                    Some(idx) => match spec.op {
-                        AggOp::Count => AggPlan::CountCol {
-                            idx,
-                            distinct: spec.distinct,
-                        },
-                        AggOp::Sample => AggPlan::SampleCol { idx },
-                        AggOp::Sum | AggOp::Avg | AggOp::Min | AggOp::Max => {
-                            let numeric = *numeric_memo
-                                .entry(idx)
-                                .or_insert_with(|| self.numeric_column(input.col(idx)));
-                            if numeric {
-                                AggPlan::NumericCol {
-                                    idx,
-                                    distinct: spec.distinct,
-                                }
-                            } else {
-                                AggPlan::General(spec.expr.as_ref().unwrap())
-                            }
-                        }
-                    },
-                    // Variable absent from the input: the general path
-                    // produces the op's empty/unbound result.
-                    None => AggPlan::General(spec.expr.as_ref().unwrap()),
-                },
-                Some(e) => AggPlan::General(e),
-            })
-            .collect();
-
-        enum AggAccum {
-            Terms(AggState),
-            CountIds {
-                seen: Option<HashSet<TermId>>,
-                count: usize,
-            },
-            Numeric(NumericAccum),
-            First(Option<TermId>),
-        }
-        let fresh_accums = |aggs: &[AggSpec], plans: &[AggPlan]| -> Vec<AggAccum> {
-            aggs.iter()
-                .zip(plans)
-                .map(|(a, plan)| match plan {
-                    AggPlan::CountCol { distinct, .. } => AggAccum::CountIds {
-                        seen: distinct.then(HashSet::new),
-                        count: 0,
-                    },
-                    AggPlan::NumericCol { distinct, .. } => {
-                        AggAccum::Numeric(NumericAccum::new(*distinct))
-                    }
-                    AggPlan::SampleCol { .. } => AggAccum::First(None),
-                    // General exprs: DISTINCT dedups on pool ids.
-                    _ => AggAccum::Terms(AggState::new_id_distinct(a.op, a.distinct)),
-                })
-                .collect()
-        };
-
-        // Group index: encoded id-tuple key → position in `groups`. Hashing
-        // u64-encoded cells (bijective), never terms. The common single-key
-        // case hashes one u64 with no per-row allocation. Over an input the
-        // optimizer proved sorted with the keys as an order prefix, hashing
-        // disappears entirely: equal keys are adjacent, so a strict
-        // increase on the prefix columns *is* a group boundary
-        // (`GroupIndex::Sorted`). Both strategies emit groups in
-        // first-occurrence order, so they are interchangeable row for row.
-        enum GroupIndex {
-            One(HashMap<u64, usize>),
-            Many(HashMap<Vec<u64>, usize>),
-            /// Run detection over these (fully bound, presorted — verified
-            /// below) key-prefix columns.
-            Sorted(Vec<usize>),
-        }
-        let sorted_cols = self.sorted_group_columns(sorted_on, keys, &input);
-
-        // Rough per-group footprint (key ids + accumulator state) for the
-        // memory axis: grouping state is the one allocation that grows
-        // without a corresponding operator output until the loop ends.
-        let group_bytes =
-            (keys.len() as u64).saturating_mul(16) + (aggs.len() as u64).saturating_mul(64);
-
-        // Parallel grouping: eligible when the input is large, grouping is
-        // by hash (run detection is already one cheap sequential pass), and
-        // every aggregate merges across chunks without order sensitivity —
-        // COUNT/COUNT(*) (count sums / seen-set unions), SAMPLE (first
-        // non-empty in chunk order), and id-native MIN/MAX (strict-
-        // improvement merge in chunk order preserves first-wins ties).
-        // `f64` SUM/AVG stay sequential: float addition is non-associative
-        // and byte-identical output is the contract.
-        let par_eligible = sorted_cols.is_none()
-            && input.len() >= PAR_MIN_ROWS
-            && plans.iter().zip(aggs).all(|(plan, spec)| match plan {
-                AggPlan::Star | AggPlan::CountCol { .. } | AggPlan::SampleCol { .. } => true,
-                AggPlan::NumericCol { .. } => matches!(spec.op, AggOp::Min | AggOp::Max),
-                AggPlan::General(_) => false,
-            });
-        if par_eligible {
-            if let Some(p) = self.par.clone() {
-                // Chunk-local accumulator restricted to the mergeable
-                // shapes (mirrors the sequential accumulators exactly).
-                enum ParAccum {
-                    Count {
-                        seen: Option<HashSet<TermId>>,
-                        count: usize,
-                    },
-                    MinMax(Option<(TermId, NumVal)>),
-                    First(Option<TermId>),
-                }
-                // Encoded group key: bijective cell codes, so code equality
-                // is cell equality (same contract as the sequential index).
-                #[derive(Clone, PartialEq, Eq, Hash)]
-                enum KeyEnc {
-                    One(u64),
-                    Many(Vec<u64>),
-                }
-                let fresh_par = |plans: &[AggPlan]| -> Vec<ParAccum> {
-                    plans
-                        .iter()
-                        .map(|plan| match plan {
-                            AggPlan::Star => ParAccum::Count {
-                                seen: None,
-                                count: 0,
-                            },
-                            AggPlan::CountCol { distinct, .. } => ParAccum::Count {
-                                seen: distinct.then(HashSet::new),
-                                count: 0,
-                            },
-                            AggPlan::NumericCol { .. } => ParAccum::MinMax(None),
-                            AggPlan::SampleCol { .. } => ParAccum::First(None),
-                            AggPlan::General(_) => unreachable!("gated out of the parallel path"),
-                        })
-                        .collect()
-                };
-
-                let chunk = par_chunk_size(input.len(), p.threads);
-                let n_chunks = input.len().div_ceil(chunk);
-                let shared = SharedMeter::new(&self.meter, n_chunks);
-                let pool = &self.pool;
-                let input_ref = &input;
-                let plans_ref = &plans;
-                let key_idx_ref = &key_indices;
-                let single_key = key_indices.len() == 1;
-                let run = p.pool.run_chunks(input.len(), chunk, |ci, range| {
-                    let mut wm = shared.worker(ci);
-                    let mut map: HashMap<KeyEnc, usize> = HashMap::new();
-                    let mut groups: Vec<(KeyEnc, Vec<Option<TermId>>, Vec<ParAccum>)> = Vec::new();
-                    for i in range {
-                        // Same per-row budget shape as the sequential loop;
-                        // the shared meter sums live group state across
-                        // chunks (that memory really is held concurrently).
-                        wm.charge_intermediate(
-                            groups.len() as u64,
-                            (groups.len() as u64).saturating_mul(group_bytes),
-                        )?;
-                        let enc = if single_key {
-                            KeyEnc::One(match key_idx_ref[0] {
-                                Some(c) => input_ref.col(c).hash_code(i),
-                                None => 0,
-                            })
-                        } else {
-                            KeyEnc::Many(
-                                key_idx_ref
-                                    .iter()
-                                    .map(|ki| match ki {
-                                        Some(c) => input_ref.col(*c).hash_code(i),
-                                        None => 0,
-                                    })
-                                    .collect(),
-                            )
-                        };
-                        let slot = map.entry(enc.clone()).or_insert(usize::MAX);
-                        let gi = if *slot == usize::MAX {
-                            *slot = groups.len();
-                            let key: Vec<Option<TermId>> = key_idx_ref
-                                .iter()
-                                .map(|ki| ki.and_then(|c| input_ref.get(i, c)))
-                                .collect();
-                            groups.push((enc, key, fresh_par(plans_ref)));
-                            groups.len() - 1
-                        } else {
-                            *slot
-                        };
-                        for ((accum, plan), spec) in
-                            groups[gi].2.iter_mut().zip(plans_ref.iter()).zip(aggs)
-                        {
-                            match (accum, plan) {
-                                (ParAccum::Count { count, .. }, AggPlan::Star) => *count += 1,
-                                (
-                                    ParAccum::Count { seen, count },
-                                    AggPlan::CountCol { idx, .. },
-                                ) => {
-                                    if let Some(id) = input_ref.get(i, *idx) {
-                                        match seen {
-                                            Some(set) => {
-                                                if set.insert(id) {
-                                                    *count += 1;
-                                                }
-                                            }
-                                            None => *count += 1,
-                                        }
-                                    }
-                                }
-                                (ParAccum::MinMax(best), AggPlan::NumericCol { idx, .. }) => {
-                                    if let Some(id) = input_ref.get(i, *idx) {
-                                        let v = match pool.resolve(id) {
-                                            Term::Literal(l) => match l.parsed {
-                                                TypedValue::Integer(x) => NumVal::I(x),
-                                                TypedValue::Double(d) => NumVal::D(d),
-                                                _ => unreachable!("numeric_column checked"),
-                                            },
-                                            _ => unreachable!("numeric_column checked"),
-                                        };
-                                        let better = match spec.op {
-                                            AggOp::Min => Ordering::Less,
-                                            _ => Ordering::Greater,
-                                        };
-                                        if best.is_none_or(|(_, m)| v.cmp_sparql(m) == better) {
-                                            *best = Some((id, v));
-                                        }
-                                    }
-                                }
-                                (ParAccum::First(first), AggPlan::SampleCol { idx }) => {
-                                    if first.is_none() {
-                                        *first = input_ref.get(i, *idx);
-                                    }
-                                }
-                                _ => unreachable!("accumulator/plan shape mismatch"),
-                            }
-                        }
-                    }
-                    Ok::<_, EngineError>(groups)
-                });
-                self.par_stats.chunks += run.chunks;
-                self.par_stats.steals += run.steals;
-
-                // Merge chunk groups in chunk order: chunk concatenation
-                // order is row order, so the first chunk (and within it the
-                // first row) to produce a key is the global first
-                // occurrence — the sequential group order exactly.
-                let merge_start = Instant::now();
-                let mut global: HashMap<KeyEnc, usize> = HashMap::new();
-                let mut merged: Vec<(Vec<Option<TermId>>, Vec<ParAccum>)> = Vec::new();
-                let mut chunk_err: Option<EngineError> = None;
-                for r in run.results {
-                    let chunk_groups = match r {
-                        Ok(g) => g,
-                        Err(e) => {
-                            chunk_err.get_or_insert(e);
-                            continue;
-                        }
-                    };
-                    for (enc, key, accums) in chunk_groups {
-                        let slot = global.entry(enc).or_insert(usize::MAX);
-                        if *slot == usize::MAX {
-                            *slot = merged.len();
-                            merged.push((key, accums));
-                            continue;
-                        }
-                        let dst = &mut merged[*slot].1;
-                        for ((d, s), spec) in dst.iter_mut().zip(accums).zip(aggs) {
-                            match (d, s) {
-                                (
-                                    ParAccum::Count { seen: None, count },
-                                    ParAccum::Count {
-                                        seen: None,
-                                        count: c2,
-                                    },
-                                ) => *count += c2,
-                                (
-                                    ParAccum::Count {
-                                        seen: Some(set),
-                                        count,
-                                    },
-                                    ParAccum::Count {
-                                        seen: Some(other), ..
-                                    },
-                                ) => {
-                                    // Distinct count = size of the union.
-                                    for id in other {
-                                        if set.insert(id) {
-                                            *count += 1;
-                                        }
-                                    }
-                                }
-                                (ParAccum::MinMax(best), ParAccum::MinMax(theirs)) => {
-                                    if let Some((id, v)) = theirs {
-                                        let better = match spec.op {
-                                            AggOp::Min => Ordering::Less,
-                                            _ => Ordering::Greater,
-                                        };
-                                        // Strict improvement only: a tie
-                                        // keeps the earlier chunk's id
-                                        // (first-wins, like row order).
-                                        if best.is_none_or(|(_, m)| v.cmp_sparql(m) == better) {
-                                            *best = Some((id, v));
-                                        }
-                                    }
-                                }
-                                (ParAccum::First(first), ParAccum::First(theirs)) => {
-                                    if first.is_none() {
-                                        *first = theirs;
-                                    }
-                                }
-                                _ => unreachable!("accumulator shape mismatch across chunks"),
-                            }
-                        }
-                    }
-                }
-                self.par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-                shared.finish(&mut self.meter)?;
-                if let Some(e) = chunk_err {
-                    return Err(e);
-                }
-                self.meter.charge_intermediate(
-                    merged.len() as u64,
-                    (merged.len() as u64).saturating_mul(group_bytes),
-                )?;
-
-                // Finish on the main thread in merged (= sequential) order:
-                // every interned term and its order match the sequential
-                // path, keeping the pool state identical too.
-                let mut out_vars: Vec<String> = keys.to_vec();
-                out_vars.extend(aggs.iter().map(|a| a.output.clone()));
-                let mut key_cols: Vec<Column> = (0..keys.len())
-                    .map(|_| Column::with_capacity(merged.len()))
-                    .collect();
-                let mut agg_cols: Vec<Column> = (0..aggs.len())
-                    .map(|_| Column::with_capacity(merged.len()))
-                    .collect();
-                let n_groups = merged.len();
-                for (key, accums) in merged {
-                    for (col, v) in key_cols.iter_mut().zip(key) {
-                        col.push(v);
-                    }
-                    for (col, accum) in agg_cols.iter_mut().zip(accums) {
-                        let value: Option<TermId> = match accum {
-                            ParAccum::Count { count, .. } => {
-                                Some(self.pool.intern(Term::integer(count as i64)))
-                            }
-                            ParAccum::MinMax(best) => best.map(|(id, _)| id),
-                            ParAccum::First(id) => id,
-                        };
-                        col.push(value);
-                    }
-                }
-                key_cols.extend(agg_cols);
-                return Ok(IdTable::from_columns(out_vars, key_cols, n_groups));
-            }
-        }
-
-        let mut index = match sorted_cols {
-            Some(cols) => {
-                self.sorted_groups += 1;
-                GroupIndex::Sorted(cols)
-            }
-            None if key_indices.len() == 1 => GroupIndex::One(HashMap::new()),
-            None => GroupIndex::Many(HashMap::new()),
-        };
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<AggAccum>)> = Vec::new();
-
-        let implicit_single_group = keys.is_empty();
-        if implicit_single_group {
-            if let GroupIndex::Many(m) = &mut index {
-                m.insert(Vec::new(), 0);
-            }
-            groups.push((Vec::new(), fresh_accums(aggs, &plans)));
-        }
-
-        for i in 0..input.len() {
-            self.meter.charge_intermediate(
-                groups.len() as u64,
-                (groups.len() as u64).saturating_mul(group_bytes),
-            )?;
-            // `None` = this row starts a new group; `Some(gi)` = it joins
-            // group `gi` (any earlier one for the hash strategies, always
-            // the most recent for run detection).
-            let existing: Option<usize> = match &mut index {
-                GroupIndex::One(m) => {
-                    let enc = match key_indices[0] {
-                        Some(c) => input.col(c).hash_code(i),
-                        None => 0,
-                    };
-                    let slot = m.entry(enc).or_insert(usize::MAX);
-                    if *slot == usize::MAX {
-                        *slot = groups.len();
-                        None
-                    } else {
-                        Some(*slot)
-                    }
-                }
-                GroupIndex::Many(m) => {
-                    let key_enc: Vec<u64> = key_indices
-                        .iter()
-                        .map(|ki| match ki {
-                            Some(c) => input.col(*c).hash_code(i),
-                            None => 0,
-                        })
-                        .collect();
-                    let slot = m.entry(key_enc).or_insert(usize::MAX);
-                    if *slot == usize::MAX {
-                        *slot = groups.len();
-                        None
-                    } else {
-                        Some(*slot)
-                    }
-                }
-                GroupIndex::Sorted(cols) => {
-                    // Presorted input: a neighbor differing on any prefix
-                    // column starts a new group; equal neighbors extend the
-                    // last one. (Non-adjacency of equal keys is impossible
-                    // — sortedness was verified.)
-                    if i == 0 || lex_cmp_prev(&input, cols, i) != Ordering::Equal {
-                        None
-                    } else {
-                        Some(groups.len() - 1)
-                    }
-                }
-            };
-            let gi = match existing {
-                Some(gi) => gi,
-                None => {
-                    let gi = groups.len();
-                    let key: Vec<Option<TermId>> = key_indices
-                        .iter()
-                        .map(|ki| ki.and_then(|c| input.get(i, c)))
-                        .collect();
-                    groups.push((key, fresh_accums(aggs, &plans)));
-                    gi
-                }
-            };
-            for (accum, plan) in groups[gi].1.iter_mut().zip(&plans) {
-                match (accum, plan) {
-                    (AggAccum::Terms(state), AggPlan::Star) => state.push_star(),
-                    (AggAccum::Terms(state), AggPlan::General(e)) => {
-                        let value = {
-                            let buf = &mut self.scratch;
-                            input.read_row(i, buf);
-                            let ctx = IdRowCtx {
-                                vars: &input.vars,
-                                row: buf,
-                                pool: &self.pool,
-                            };
-                            eval_expr(e, ctx, &mut self.caches)
-                        };
-                        state.push_pooled(value, &mut self.pool);
-                    }
-                    (AggAccum::CountIds { seen, count }, AggPlan::CountCol { idx, .. }) => {
-                        if let Some(id) = input.get(i, *idx) {
-                            match seen {
-                                Some(set) => {
-                                    if set.insert(id) {
-                                        *count += 1;
-                                    }
-                                }
-                                None => *count += 1,
-                            }
-                        }
-                    }
-                    (AggAccum::Numeric(acc), AggPlan::NumericCol { idx, .. }) => {
-                        if let Some(id) = input.get(i, *idx) {
-                            let v = match self.pool.resolve(id) {
-                                Term::Literal(l) => match l.parsed {
-                                    TypedValue::Integer(x) => NumVal::I(x),
-                                    TypedValue::Double(d) => NumVal::D(d),
-                                    _ => unreachable!("numeric_column checked"),
-                                },
-                                _ => unreachable!("numeric_column checked"),
-                            };
-                            acc.push(id, v);
-                        }
-                    }
-                    (AggAccum::First(first), AggPlan::SampleCol { idx }) => {
-                        if first.is_none() {
-                            *first = input.get(i, *idx);
-                        }
-                    }
-                    _ => unreachable!("accumulator/plan shape mismatch"),
-                }
-            }
-        }
-
-        let mut out_vars: Vec<String> = keys.to_vec();
-        out_vars.extend(aggs.iter().map(|a| a.output.clone()));
-        let mut key_cols: Vec<Column> = (0..keys.len())
-            .map(|_| Column::with_capacity(groups.len()))
-            .collect();
-        let mut agg_cols: Vec<Column> = (0..aggs.len())
-            .map(|_| Column::with_capacity(groups.len()))
-            .collect();
-        let n_groups = groups.len();
-        for (key, accums) in groups {
-            for (col, v) in key_cols.iter_mut().zip(key) {
-                col.push(v);
-            }
-            for ((col, accum), spec) in agg_cols.iter_mut().zip(accums).zip(aggs) {
-                // Aggregate results are computed terms; intern them so the
-                // column stays id-native for downstream operators.
-                let value: Option<TermId> = match accum {
-                    AggAccum::Terms(state) => state.finish().map(|t| self.pool.intern(t)),
-                    AggAccum::CountIds { count, .. } => {
-                        Some(self.pool.intern(Term::integer(count as i64)))
-                    }
-                    AggAccum::Numeric(acc) => acc.finish(spec.op, &mut self.pool),
-                    AggAccum::First(id) => id,
-                };
-                col.push(value);
-            }
-        }
-        key_cols.extend(agg_cols);
-        Ok(IdTable::from_columns(out_vars, key_cols, n_groups))
-    }
-
-    /// Validate a [`Plan::Group`]'s `sorted_on` claim against the actual
-    /// input, returning the prefix column indexes to run-detect on, or
-    /// `None` for the hash fallback. Checks (all linear or cheaper): the
-    /// annotation is present, its variables and the grouping keys name the
-    /// same column set, every prefix column exists and is fully bound, and
-    /// the rows really are lexicographically non-decreasing on the prefix
-    /// sequence — the same trust-but-verify contract as the merge joins.
-    fn sorted_group_columns(
-        &self,
-        sorted_on: &[String],
-        keys: &[String],
-        input: &IdTable,
-    ) -> Option<Vec<usize>> {
-        if sorted_on.is_empty() {
-            return None;
-        }
-        // Set equality with the keys (the optimizer guarantees it; a stale
-        // or hand-built plan must not silently misgroup).
-        if !keys.iter().all(|k| sorted_on.contains(k))
-            || !sorted_on.iter().all(|v| keys.contains(v))
-        {
-            return None;
-        }
-        let cols: Vec<usize> = sorted_on
-            .iter()
-            .map(|v| input.column_index(v))
-            .collect::<Option<Vec<_>>>()?;
-        if cols.iter().any(|&c| !input.col(c).all_present()) {
-            return None;
-        }
-        let sorted = (1..input.len()).all(|i| lex_cmp_prev(input, &cols, i) != Ordering::Greater);
-        sorted.then_some(cols)
-    }
-
-    /// Is every bound value in the column a numeric literal (and no NaN,
-    /// whose SPARQL ordering falls back to lexical comparison)? One linear
-    /// id scan; terms are inspected by reference, never cloned.
-    fn numeric_column(&self, col: &Column) -> bool {
-        for i in 0..col.len() {
-            if let Some(id) = col.get(i) {
-                match self.pool.resolve(id) {
-                    Term::Literal(l) => match l.parsed {
-                        TypedValue::Integer(_) => {}
-                        TypedValue::Double(d) if !d.is_nan() => {}
-                        _ => return false,
-                    },
-                    _ => return false,
-                }
-            }
-        }
-        true
     }
 
     /// Compute the ORDER BY key terms for every row (the materialization
@@ -1577,8 +629,8 @@ fn compare_keyed(keys: &[OrderKey], a: &KeyedRow, b: &KeyedRow) -> Ordering {
 /// append matches as a gather index (the *global* input row number) plus
 /// one value per newly-bound slot.
 ///
-/// Factored out of [`Evaluator::eval_bgp`] so the sequential path (whole
-/// range, the evaluator's [`BudgetMeter`]) and each parallel chunk
+/// The sequential path (whole range, the evaluator's [`BudgetMeter`]) and
+/// each parallel chunk
 /// (sub-range, a [`crate::budget::WorkerMeter`]) run the identical loop
 /// body: concatenating chunk results in chunk order reproduces the
 /// sequential match order exactly (gather indexes ascend within and across
@@ -1673,115 +725,6 @@ enum Slot {
     Var(usize),
 }
 
-/// A numeric value as SPARQL compares it: `i64` when both sides are
-/// integers, `f64` otherwise. The column precheck guarantees no NaN.
-#[derive(Debug, Clone, Copy)]
-enum NumVal {
-    I(i64),
-    D(f64),
-}
-
-impl NumVal {
-    fn as_f64(self) -> f64 {
-        match self {
-            NumVal::I(i) => i as f64,
-            NumVal::D(d) => d,
-        }
-    }
-
-    /// SPARQL numeric comparison (mirrors `Term::value_cmp` on two numeric
-    /// literals, which `order_cmp` delegates to).
-    fn cmp_sparql(self, other: NumVal) -> Ordering {
-        match (self, other) {
-            (NumVal::I(a), NumVal::I(b)) => a.cmp(&b),
-            _ => self
-                .as_f64()
-                .partial_cmp(&other.as_f64())
-                .expect("NaN excluded by numeric_column"),
-        }
-    }
-}
-
-/// Id-native accumulator for `SUM`/`AVG`/`MIN`/`MAX` over a numeric-literal
-/// column. Mirrors [`AggState`]'s arithmetic exactly (wrapping integer sum,
-/// `f64` shadow sum in row order, first-wins ties for MIN/MAX) but never
-/// materializes a term: MIN/MAX track the winning *id*, which downstream
-/// operators and the final projection resolve like any other binding.
-struct NumericAccum {
-    seen: Option<HashSet<TermId>>,
-    count: usize,
-    int_sum: i64,
-    f_sum: f64,
-    integral: bool,
-    min: Option<(TermId, NumVal)>,
-    max: Option<(TermId, NumVal)>,
-}
-
-impl NumericAccum {
-    fn new(distinct: bool) -> Self {
-        NumericAccum {
-            seen: distinct.then(HashSet::new),
-            count: 0,
-            int_sum: 0,
-            f_sum: 0.0,
-            integral: true,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn push(&mut self, id: TermId, v: NumVal) {
-        if let Some(seen) = &mut self.seen {
-            if !seen.insert(id) {
-                return;
-            }
-        }
-        self.count += 1;
-        match v {
-            NumVal::I(i) => {
-                self.int_sum = self.int_sum.wrapping_add(i);
-                self.f_sum += i as f64;
-            }
-            NumVal::D(d) => {
-                self.integral = false;
-                self.f_sum += d;
-            }
-        }
-        if self
-            .min
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == Ordering::Less)
-        {
-            self.min = Some((id, v));
-        }
-        if self
-            .max
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == Ordering::Greater)
-        {
-            self.max = Some((id, v));
-        }
-    }
-
-    fn finish(self, op: AggOp, pool: &mut TermPool) -> Option<TermId> {
-        match op {
-            AggOp::Sum => Some(if self.integral {
-                pool.intern(Term::integer(self.int_sum))
-            } else {
-                pool.intern(Term::Literal(Literal::double(self.f_sum)))
-            }),
-            AggOp::Avg => Some(if self.count == 0 {
-                pool.intern(Term::integer(0))
-            } else {
-                pool.intern(Term::Literal(Literal::double(
-                    self.f_sum / self.count as f64,
-                )))
-            }),
-            AggOp::Min => self.min.map(|(id, _)| id),
-            AggOp::Max => self.max.map(|(id, _)| id),
-            _ => unreachable!("NumericCol only plans SUM/AVG/MIN/MAX"),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JoinKind {
     Inner,
@@ -1791,190 +734,10 @@ enum JoinKind {
 /// Marker for "left row had no match" in the pair list of a left join.
 const NO_MATCH: u32 = u32::MAX;
 
-/// Columnar hash join with SPARQL compatibility semantics.
-///
-/// Key selection: the shared variables bound in *every* row of both inputs
-/// (one bitmap popcount per column, no row scan) form the hash key;
-/// remaining shared variables are checked per candidate pair with
-/// unbound-is-compatible semantics. The match phase produces a `(left row,
-/// right row)` pair list; output columns are then assembled by gathering
-/// over it — shared columns take the left value when present and fall back
-/// to the right side. Falls back to nested loop when no always-bound shared
-/// variable exists.
-///
-/// The pair list is the allocation a cross-product-shaped join balloons
-/// before any output column exists, so every probe strategy checks it
-/// against the budget between left rows (overshoot bounded by one left
-/// row's candidates).
-///
-/// With a parallel context, the single-key path runs partitioned: each
-/// build chunk indexes its own right-row range, and each probe chunk walks
-/// *all* chunk maps in chunk order — right-row indexes ascend within a
-/// chunk map and across maps, so every left row sees its candidates in
-/// exactly the sequential bucket order, and concatenating per-chunk pair
-/// lists in chunk order reproduces the sequential pair list byte for byte.
-fn join(
-    left: IdTable,
-    right: IdTable,
-    kind: JoinKind,
-    meter: &mut BudgetMeter,
-    par: Option<&ParCtx>,
-    par_stats: &mut ParStats,
-) -> Result<IdTable> {
-    let shape = JoinShape::new(&left, &right);
-
-    // Positions (within the shared vars) usable as hash key.
-    let key_positions: Vec<usize> = (0..shape.shared_len())
-        .filter(|&k| {
-            left.col(shape.l_idx[k]).all_present() && right.col(shape.r_idx[k]).all_present()
-        })
-        .collect();
-    let l_idx = &shape.l_idx;
-    let r_idx = &shape.r_idx;
-
-    let compatible = |li: usize, ri: usize| -> bool { shape.compatible(&left, &right, li, ri) };
-
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if key_positions.len() == 1 {
-        // Single-column key (the common case): hash raw ids.
-        let lk = left.col(l_idx[key_positions[0]]);
-        let rk = right.col(r_idx[key_positions[0]]);
-        let par_run = par.filter(|_| left.len() >= PAR_MIN_ROWS);
-        if let Some(p) = par_run {
-            // Partitioned build: each chunk indexes its right-row range.
-            let build_chunk = par_chunk_size(right.len(), p.threads);
-            let build = p.pool.run_chunks(right.len(), build_chunk, |_ci, range| {
-                let mut m: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(range.len());
-                for ri in range {
-                    m.entry(rk.ids()[ri]).or_default().push(ri as u32);
-                }
-                m
-            });
-            par_stats.chunks += build.chunks;
-            par_stats.steals += build.steals;
-            let maps = build.results;
-            // Chunked probe: a left row probes every chunk map in chunk
-            // order, seeing candidates in ascending right-row order — the
-            // sequential bucket order.
-            let probe_chunk = par_chunk_size(left.len(), p.threads);
-            let n_chunks = left.len().div_ceil(probe_chunk);
-            let shared = SharedMeter::new(meter, n_chunks);
-            let maps_ref = &maps;
-            let compatible_ref = &compatible;
-            let probe = p.pool.run_chunks(left.len(), probe_chunk, |ci, range| {
-                let mut wm = shared.worker(ci);
-                let mut out: Vec<(u32, u32)> = Vec::new();
-                for li in range {
-                    let id = lk.ids()[li];
-                    let mut matched = false;
-                    for m in maps_ref {
-                        if let Some(candidates) = m.get(&id) {
-                            for &ri in candidates {
-                                if compatible_ref(li, ri as usize) {
-                                    out.push((li as u32, ri));
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                    if !matched && kind == JoinKind::Left {
-                        out.push((li as u32, NO_MATCH));
-                    }
-                    wm.charge_intermediate(out.len() as u64, out.len() as u64 * 8)?;
-                }
-                Ok::<_, EngineError>(out)
-            });
-            par_stats.chunks += probe.chunks;
-            par_stats.steals += probe.steals;
-            let merge_start = Instant::now();
-            let mut chunk_err: Option<EngineError> = None;
-            for r in probe.results {
-                match r {
-                    Ok(mut v) => pairs.append(&mut v),
-                    Err(e) => {
-                        chunk_err.get_or_insert(e);
-                    }
-                }
-            }
-            par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-            shared.finish(meter)?;
-            if let Some(e) = chunk_err {
-                return Err(e);
-            }
-        } else {
-            let mut table: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(right.len());
-            for (ri, &id) in rk.ids().iter().enumerate() {
-                table.entry(id).or_default().push(ri as u32);
-            }
-            for (li, &id) in lk.ids().iter().enumerate() {
-                let mut matched = false;
-                if let Some(candidates) = table.get(&id) {
-                    for &ri in candidates {
-                        if compatible(li, ri as usize) {
-                            pairs.push((li as u32, ri));
-                            matched = true;
-                        }
-                    }
-                }
-                if !matched && kind == JoinKind::Left {
-                    pairs.push((li as u32, NO_MATCH));
-                }
-                meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-            }
-        }
-    } else if !key_positions.is_empty() || shape.shared_len() == 0 {
-        // Multi-column (or empty = cross-product bucket) key.
-        let mut table: HashMap<Vec<TermId>, Vec<u32>> = HashMap::with_capacity(right.len());
-        for ri in 0..right.len() {
-            let key: Vec<TermId> = key_positions
-                .iter()
-                .map(|&k| right.col(r_idx[k]).ids()[ri])
-                .collect();
-            table.entry(key).or_default().push(ri as u32);
-        }
-        for li in 0..left.len() {
-            let key: Vec<TermId> = key_positions
-                .iter()
-                .map(|&k| left.col(l_idx[k]).ids()[li])
-                .collect();
-            let mut matched = false;
-            if let Some(candidates) = table.get(&key) {
-                for &ri in candidates {
-                    if compatible(li, ri as usize) {
-                        pairs.push((li as u32, ri));
-                        matched = true;
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                pairs.push((li as u32, NO_MATCH));
-            }
-            meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-        }
-    } else {
-        // Nested loop with compatibility semantics.
-        for li in 0..left.len() {
-            let mut matched = false;
-            for ri in 0..right.len() {
-                if compatible(li, ri) {
-                    pairs.push((li as u32, ri as u32));
-                    matched = true;
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                pairs.push((li as u32, NO_MATCH));
-            }
-            meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-        }
-    }
-
-    Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
-}
-
-/// Join-shape setup shared by the hash and merge join implementations —
-/// the shared-variable column indexes, the output schema, and the per-pair
-/// compatibility check — so the two paths cannot drift apart (the merge
-/// rewrite's whole contract is producing row-for-row what the hash join
+/// Join-shape setup shared by the hash and merge probe strategies — the
+/// shared-variable column indexes, the output schema, and the per-pair
+/// compatibility check — so the two cannot drift apart (the merge
+/// rewrite's whole contract is producing row-for-row what the hash probe
 /// would).
 struct JoinShape {
     /// Output schema: left vars, then right-only vars.
@@ -2032,54 +795,6 @@ impl JoinShape {
     }
 }
 
-/// Order-preserving merge join (inner or left): both inputs sorted
-/// non-decreasing on their key column (all slots bound — verified by the
-/// caller). Emits pairs in exactly the order the hash join produces — left
-/// rows in input order, each one's matches in ascending right-row order,
-/// and (for the left flavor) an unmatched-left marker in place — so the
-/// rewrite is invisible to everything downstream, including the
-/// differential oracles. Remaining shared variables get the same per-pair
-/// compatibility check the hash join applies (same [`JoinShape`]): a left
-/// row whose key-run candidates all fail it counts as unmatched, exactly
-/// like the hash join's bucket probe.
-fn merge_join(
-    left: IdTable,
-    right: IdTable,
-    l_key: usize,
-    r_key: usize,
-    kind: JoinKind,
-    meter: &mut BudgetMeter,
-) -> Result<IdTable> {
-    let shape = JoinShape::new(&left, &right);
-    let compatible = |li: usize, ri: usize| -> bool { shape.compatible(&left, &right, li, ri) };
-
-    let lk = left.col(l_key).ids();
-    let rk = right.col(r_key).ids();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    // `run` marks the start of the right-side run for the current left key;
-    // both sides ascend, so it only ever moves forward.
-    let mut run = 0usize;
-    for (li, &key) in lk.iter().enumerate() {
-        while run < rk.len() && rk[run] < key {
-            run += 1;
-        }
-        let mut ri = run;
-        let mut matched = false;
-        while ri < rk.len() && rk[ri] == key {
-            if compatible(li, ri) {
-                pairs.push((li as u32, ri as u32));
-                matched = true;
-            }
-            ri += 1;
-        }
-        if !matched && kind == JoinKind::Left {
-            pairs.push((li as u32, NO_MATCH));
-        }
-        meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-    }
-    Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
-}
-
 /// Body of [`Plan::Project`] over an owned table: move projected columns
 /// out instead of cloning id vectors and bitmaps. Pure column shuffling —
 /// the streaming pipeline applies it per batch.
@@ -2101,68 +816,6 @@ fn project_table(vars: &[String], t: IdTable) -> IdTable {
         out_cols.push(col);
     }
     IdTable::from_columns(vars.to_vec(), out_cols, rows)
-}
-
-/// Hash-based DISTINCT (keeps first occurrences): the general path, and the
-/// fallback when a [`Plan::SortedDistinct`] claim fails at run time.
-fn hash_distinct(mut t: IdTable) -> IdTable {
-    let width = t.vars.len();
-    let mut keep = Vec::with_capacity(t.len());
-    if width == 1 {
-        // Single column: dedup on bare u64 codes, no row keys.
-        let mut seen: HashSet<u64> = HashSet::with_capacity(t.len());
-        let col = t.col(0);
-        for i in 0..t.len() {
-            keep.push(seen.insert(col.hash_code(i)));
-        }
-    } else {
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(t.len());
-        for i in 0..t.len() {
-            let key: Vec<u64> = (0..width).map(|c| t.col(c).hash_code(i)).collect();
-            keep.push(seen.insert(key));
-        }
-    }
-    t.filter_mask(&keep);
-    t
-}
-
-/// Linear run-detection DISTINCT over a table claimed sorted on `order`.
-///
-/// Eligibility is re-verified here, not trusted: every order variable must
-/// be a column, every column must appear in the order (otherwise rows equal
-/// on the order columns could still differ and run detection would
-/// over-delete), every order column must be fully bound, and the rows must
-/// actually be lexicographically non-decreasing on the order sequence. The
-/// sortedness check and the dedup are one fused pass: a strictly greater
-/// neighbor starts a new run (keep), an equal neighbor is a duplicate
-/// (drop — order covers all columns, so order-equal means row-equal), and
-/// an out-of-order neighbor aborts to `None` (hash fallback).
-fn sorted_distinct_mask(t: &IdTable, order: &[String]) -> Option<Vec<bool>> {
-    let cols: Vec<usize> = order
-        .iter()
-        .map(|v| t.column_index(v))
-        .collect::<Option<Vec<_>>>()?;
-    // Coverage: duplicate-named columns are clones by construction
-    // (projection copies the first occurrence), so name coverage is column
-    // coverage.
-    if !t.vars.iter().all(|v| order.contains(v)) {
-        return None;
-    }
-    if cols.iter().any(|&c| !t.col(c).all_present()) {
-        return None;
-    }
-    let mut keep = Vec::with_capacity(t.len());
-    if !t.is_empty() {
-        keep.push(true);
-    }
-    for i in 1..t.len() {
-        match lex_cmp_prev(t, &cols, i) {
-            Ordering::Greater => return None, // claim was wrong: fall back
-            Ordering::Less => keep.push(true),
-            Ordering::Equal => keep.push(false),
-        }
-    }
-    Some(keep)
 }
 
 /// Compare rows `i-1` and `i` lexicographically on `cols` by raw id (the
@@ -2225,49 +878,10 @@ fn assemble_join(
     IdTable::from_columns(out_vars, cols, rows)
 }
 
-/// Bag union with schema alignment (column-at-a-time concatenation).
-fn union(left: IdTable, right: IdTable) -> IdTable {
-    let mut vars = left.vars.clone();
-    for v in &right.vars {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let total = left.len() + right.len();
-    let mut cols = Vec::with_capacity(vars.len());
-    for v in &vars {
-        let mut col = Column::with_capacity(total);
-        match left.column_index(v) {
-            Some(lc) => {
-                for i in 0..left.len() {
-                    col.push(left.get(i, lc));
-                }
-            }
-            None => {
-                for _ in 0..left.len() {
-                    col.push(None);
-                }
-            }
-        }
-        match right.column_index(v) {
-            Some(rc) => {
-                for i in 0..right.len() {
-                    col.push(right.get(i, rc));
-                }
-            }
-            None => {
-                for _ in 0..right.len() {
-                    col.push(None);
-                }
-            }
-        }
-        cols.push(col);
-    }
-    IdTable::from_columns(vars, cols, total)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::pipeline::test_ops::{distinct, join, table, union};
+    use super::pipeline::BoxOp;
     use super::*;
 
     fn tbl(vars: &[&str], rows: Vec<Vec<Option<TermId>>>) -> IdTable {
@@ -2288,36 +902,47 @@ mod tests {
             .collect()
     }
 
+    /// Drain a freshly built operator at several batch sizes (each with a
+    /// fresh evaluator), demand the identical table from all of them, and
+    /// return it with the last evaluator (for its rewrite counters).
+    fn run<'e>(ds: &'e Dataset, make: impl Fn() -> BoxOp<'e>) -> (IdTable, Evaluator<'e>) {
+        let mut last: Option<(IdTable, Evaluator<'e>)> = None;
+        for batch_rows in [1, 2, 3, 64] {
+            let mut ev = Evaluator::new(ds, Vec::new());
+            let mut op = make();
+            let mut out = IdTable::with_vars(op.vars().to_vec());
+            while let Some(b) = op.next_batch(&mut ev, batch_rows).unwrap() {
+                assert!(!b.is_empty() && b.len() <= batch_rows);
+                out.append(&b);
+            }
+            if let Some((prev, _)) = &last {
+                assert_eq!(prev, &out, "batch size {batch_rows} changed the output");
+            }
+            last = Some((out, ev));
+        }
+        last.unwrap()
+    }
+
     #[test]
     fn inner_join_on_shared() {
-        let a = tbl(&["x", "y"], vec![vec![i(1), i(10)], vec![i(2), i(20)]]);
-        let b = tbl(&["x", "z"], vec![vec![i(1), i(100)], vec![i(3), i(300)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x", "y"], vec![vec![i(1), i(10)], vec![i(2), i(20)]]);
+            let b = tbl(&["x", "z"], vec![vec![i(1), i(100)], vec![i(3), i(300)]]);
+            join(table(a), table(b), JoinKind::Inner, None)
+        });
         assert_eq!(j.vars, vec!["x", "y", "z"]);
         assert_eq!(rows_of(&j), vec![vec![i(1), i(10), i(100)]]);
     }
 
     #[test]
     fn left_join_keeps_unmatched() {
-        let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
-        let b = tbl(&["x", "z"], vec![vec![i(1), i(100)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
+            let b = tbl(&["x", "z"], vec![vec![i(1), i(100)]]);
+            join(table(a), table(b), JoinKind::Left, None)
+        });
         assert_eq!(j.len(), 2);
         assert_eq!(rows_of(&j)[1], vec![i(2), None]);
     }
@@ -2326,42 +951,35 @@ mod tests {
     fn join_with_partially_unbound_shared_var() {
         // 'g' is shared but sometimes unbound on the left (e.g. OPTIONAL
         // output): unbound is compatible with anything.
-        let a = tbl(&["x", "g"], vec![vec![i(1), None], vec![i(2), i(9)]]);
-        let b = tbl(&["x", "g"], vec![vec![i(1), i(7)], vec![i(2), i(8)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x", "g"], vec![vec![i(1), None], vec![i(2), i(9)]]);
+            let b = tbl(&["x", "g"], vec![vec![i(1), i(7)], vec![i(2), i(8)]]);
+            join(table(a), table(b), JoinKind::Inner, None)
+        });
         // Row (1, None) joins (1, 7) → (1, 7); row (2, 9) vs (2, 8) clash.
         assert_eq!(rows_of(&j), vec![vec![i(1), i(7)]]);
     }
 
     #[test]
     fn cross_product_when_no_shared() {
-        let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
-        let b = tbl(&["y"], vec![vec![i(3)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
+            let b = tbl(&["y"], vec![vec![i(3)]]);
+            join(table(a), table(b), JoinKind::Inner, None)
+        });
         assert_eq!(j.len(), 2);
     }
 
     #[test]
     fn union_aligns_schemas() {
-        let a = tbl(&["x", "y"], vec![vec![i(1), i(2)]]);
-        let b = tbl(&["y", "z"], vec![vec![i(5), i(6)]]);
-        let u = union(a, b);
+        let ds = Dataset::new();
+        let (u, _) = run(&ds, || {
+            let a = tbl(&["x", "y"], vec![vec![i(1), i(2)]]);
+            let b = tbl(&["y", "z"], vec![vec![i(5), i(6)]]);
+            union(table(a), table(b))
+        });
         assert_eq!(u.vars, vec!["x", "y", "z"]);
         assert_eq!(rows_of(&u)[0], vec![i(1), i(2), None]);
         assert_eq!(rows_of(&u)[1], vec![None, i(5), i(6)]);
@@ -2369,33 +987,23 @@ mod tests {
 
     #[test]
     fn bag_semantics_preserved() {
-        let a = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
-        let b = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
+            let b = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
+            join(table(a), table(b), JoinKind::Inner, None)
+        });
         // 2 × 2 duplicates → 4 rows.
         assert_eq!(j.len(), 4);
     }
 
     #[test]
     fn unit_table_is_join_identity() {
-        let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
-        let j = join(
-            IdTable::unit(),
-            a,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let ds = Dataset::new();
+        let (j, _) = run(&ds, || {
+            let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
+            join(table(IdTable::unit()), table(a), JoinKind::Inner, None)
+        });
         assert_eq!(j.vars, vec!["x"]);
         assert_eq!(j.len(), 2);
     }
@@ -2416,34 +1024,44 @@ mod tests {
                 vec![i(4), i(9), i(102)], // joins the unbound-?g left row
             ],
         );
-        let via_hash = join(
-            left.clone(),
-            right.clone(),
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
-        let via_merge = merge_join(
-            left,
-            right,
-            0,
-            0,
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(rows_of(&via_hash), rows_of(&via_merge));
-        assert_eq!(via_hash.vars, via_merge.vars);
+        let ds = Dataset::new();
+        let (via_hash, hash_ev) = run(&ds, || {
+            join(
+                table(left.clone()),
+                table(right.clone()),
+                JoinKind::Left,
+                None,
+            )
+        });
+        let (via_merge, merge_ev) = run(&ds, || {
+            join(
+                table(left.clone()),
+                table(right.clone()),
+                JoinKind::Left,
+                Some("x"),
+            )
+        });
+        assert_eq!(via_hash, via_merge);
+        assert_eq!(
+            (hash_ev.merge_left_joins(), merge_ev.merge_left_joins()),
+            (0, 1)
+        );
         // Row 2 (x=2) must appear unmatched, in place.
         assert_eq!(rows_of(&via_merge)[1], vec![i(2), i(7), None]);
     }
 
     #[test]
-    fn sorted_distinct_mask_checks_its_claims() {
+    fn sorted_distinct_checks_its_claims() {
         let order: Vec<String> = vec!["a".into(), "b".into()];
-        // Sorted with duplicates: run detection keeps first occurrences.
+        let ds = Dataset::new();
+        // Distinct over `t` with the order claim: (output rows, did the
+        // claim hold over the whole input?).
+        let check = |t: IdTable| {
+            let (out, ev) = run(&ds, || distinct(table(t.clone()), Some(&order)));
+            (rows_of(&out), ev.sorted_distincts())
+        };
+        // Sorted with duplicates: first occurrences survive, claim holds
+        // (across batch boundaries too).
         let t = tbl(
             &["a", "b"],
             vec![
@@ -2455,61 +1073,23 @@ mod tests {
             ],
         );
         assert_eq!(
-            sorted_distinct_mask(&t, &order),
-            Some(vec![true, false, true, true, false])
+            check(t),
+            (
+                vec![vec![i(1), i(5)], vec![i(1), i(6)], vec![i(2), i(3)]],
+                1
+            )
         );
-        // Out-of-order rows: the claim is rejected (hash fallback).
+        // Out-of-order rows: the claim is refuted, dedup is unaffected.
         let unsorted = tbl(&["a", "b"], vec![vec![i(2), i(1)], vec![i(1), i(1)]]);
-        assert_eq!(sorted_distinct_mask(&unsorted, &order), None);
-        // A column the order does not cover: rejected.
+        assert_eq!(check(unsorted).1, 0);
+        // A column the order does not cover: ineligible.
         let extra = tbl(&["a", "c"], vec![vec![i(1), i(1)]]);
-        assert_eq!(sorted_distinct_mask(&extra, &order), None);
-        // An unbound slot in an order column: rejected.
+        assert_eq!(check(extra).1, 0);
+        // An unbound slot in an order column: refuted.
         let unbound = tbl(&["a", "b"], vec![vec![i(1), None]]);
-        assert_eq!(sorted_distinct_mask(&unbound, &order), None);
+        assert_eq!(check(unbound).1, 0);
         // Empty input is trivially sorted.
         let empty = tbl(&["a", "b"], vec![]);
-        assert_eq!(sorted_distinct_mask(&empty, &order), Some(vec![]));
-    }
-
-    #[test]
-    fn numeric_accum_matches_agg_state() {
-        use crate::ast::AggOp;
-        use rdf_model::Interner;
-
-        // SUM/AVG/MIN/MAX over mixed int/double values, with and without
-        // DISTINCT, must agree with the term-based AggState.
-        let mut interner = Interner::new();
-        let values = [
-            Term::integer(5),
-            Term::integer(5),
-            Term::Literal(Literal::double(2.5)),
-            Term::integer(-3),
-            Term::Literal(Literal::double(5.0)),
-        ];
-        let ids: Vec<TermId> = values.iter().map(|t| interner.intern(t.clone())).collect();
-        for op in [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max] {
-            for distinct in [false, true] {
-                let mut pool = TermPool::new(&interner);
-                let mut fast = NumericAccum::new(distinct);
-                let mut slow = AggState::new(op, distinct);
-                for (t, &id) in values.iter().zip(&ids) {
-                    let v = match t {
-                        Term::Literal(l) => match l.parsed {
-                            TypedValue::Integer(x) => NumVal::I(x),
-                            TypedValue::Double(d) => NumVal::D(d),
-                            _ => unreachable!(),
-                        },
-                        _ => unreachable!(),
-                    };
-                    fast.push(id, v);
-                    slow.push(Some(t.clone()));
-                }
-                let fast_term = fast
-                    .finish(op, &mut pool)
-                    .map(|id| pool.resolve(id).clone());
-                assert_eq!(fast_term, slow.finish(), "{op:?} distinct={distinct}");
-            }
-        }
+        assert_eq!(check(empty), (vec![], 1));
     }
 }

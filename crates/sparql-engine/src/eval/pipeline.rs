@@ -1,28 +1,32 @@
-//! Pull-based streaming operator pipeline over the columnar evaluator.
+//! The pull-based operator pipeline: the columnar evaluator's one
+//! evaluation flow.
 //!
 //! Each plan node becomes an [`Operator`] that produces its output batch
 //! at a time by pulling batches from its inputs, holding only per-operator
-//! staging state between calls. The contract with the materializing path
-//! ([`Evaluator::eval_to_ids`]) is strict: the concatenation of all emitted
-//! batches is byte-identical to the materialized table for every batch
-//! size, `rows_scanned` totals match exactly (fully drained plans), and
-//! order-aware rewrite counters (`merge_joins`, `sorted_distincts`,
-//! `sorted_groups`) reach the same values because every sortedness claim is
-//! re-verified incrementally (batch-local checks plus run boundaries).
+//! staging state between calls. [`crate::Engine::cursor`] hands the root's
+//! batches to the consumer; the `execute*` methods drain the same root into
+//! one table. Output is independent of the batch size: the concatenation of
+//! all emitted batches is byte-identical at every batch size, `rows_scanned`
+//! totals match exactly (fully drained plans), and the order-aware rewrite
+//! counters (`merge_joins`, `sorted_distincts`, `sorted_groups`) reach the
+//! same values because every sortedness claim is re-verified incrementally
+//! (batch-local checks plus run boundaries). The reference evaluator
+//! ([`crate::eval_reference`]) is the differential oracle for all of it.
 //!
 //! Streaming operators (BGP extension, join probe, filter/extend/project,
-//! slice) keep live state bounded by the batch size; pipeline breakers
-//! (sort, top-k, group, distinct, the join build side, union's nothing —
-//! union streams too) materialize only their own input or their own
-//! accumulation state and charge it against the budget as it grows, so
+//! union, slice) keep live state bounded by the batch size; pipeline
+//! breakers (sort, top-k, group, distinct, the join build side)
+//! materialize only their own input or their own accumulation state and
+//! charge it against the budget as it grows, so
 //! `max_intermediate_rows`/`max_memory_bytes` bound *peak live state* per
 //! operator rather than whole-query materialization.
 //!
-//! The one deliberate divergence: [`SliceOp`] stops pulling upstream once
-//! its limit is satisfied, so `LIMIT` queries legitimately scan *fewer*
-//! index entries than the materializing path (the early-exit carve-out in
-//! the differential oracle).
+//! The one deliberate divergence from the reference evaluator: [`SliceOp`]
+//! stops pulling upstream once its limit is satisfied, so `LIMIT` queries
+//! legitimately scan *fewer* index entries (the early-exit carve-out in the
+//! differential oracle).
 
+use rdf_model::hash::FxBuildHasher;
 use rdf_model::ScanPos;
 
 use super::*;
@@ -52,8 +56,8 @@ pub(crate) type BoxOp<'e> = Box<dyn Operator<'e> + 'e>;
 
 /// Build the operator pipeline for a plan.
 ///
-/// Graph resolution happens eagerly here (same [`EngineError::UnknownGraph`]
-/// timing as the materializing path, which resolves before any scan).
+/// Graph resolution happens eagerly here, so an unknown graph surfaces as
+/// [`EngineError::UnknownGraph`] before any scan runs.
 pub(crate) fn build<'e>(ev: &Evaluator<'e>, plan: &'e Plan) -> Result<BoxOp<'e>> {
     Ok(match plan {
         Plan::Unit => Box::new(UnitOp { done: false }),
@@ -284,10 +288,10 @@ struct Level<'e> {
 }
 
 /// Streaming BGP: a cascade of [`Level`]s, one per pattern, each extending
-/// input batches depth-first. Both this and the materializing
-/// breadth-first pass emit rows in lexicographic per-level match-index
-/// order and fully drain every input row's scans, so the concatenated
-/// output and the scan totals are identical at any batch size.
+/// input batches depth-first. Rows come out in lexicographic per-level
+/// match-index order and every input row's scans are fully drained, so the
+/// concatenated output and the scan totals are identical at any batch
+/// size.
 struct BgpOp<'e> {
     vars: Vec<String>,
     graphs: Vec<(Arc<Graph>, Arc<GraphIdMap>)>,
@@ -305,7 +309,7 @@ impl<'e> BgpOp<'e> {
     ) -> Result<Self> {
         let graphs = ev.resolve_graphs(graph)?;
 
-        // Variable schema in first-mention order (same as `eval_bgp`).
+        // Variable schema in first-mention order.
         let mut vars: Vec<String> = Vec::new();
         for p in patterns {
             for v in p.variables() {
@@ -421,8 +425,7 @@ impl<'e> BgpOp<'e> {
 
     /// Extend pending input rows of level `k`, either through the parallel
     /// block fan-out (fresh block of rows, no partial state — delegates to
-    /// [`Evaluator::extend_rows`], the same entry point the materializing
-    /// path uses) or the sequential resumable loop.
+    /// [`Evaluator::extend_rows`]) or the sequential resumable loop.
     fn extend_level(&mut self, ev: &mut Evaluator<'e>, k: usize, target: usize) -> Result<()> {
         let par_block = {
             let lvl = &self.levels[k];
@@ -462,8 +465,9 @@ impl<'e> BgpOp<'e> {
         extend_level_seq(graphs, lvl, ev, target)
     }
 
-    /// Assemble the level's match buffers into a staged output table
-    /// (identical column assembly to `eval_bgp`'s per-pattern step).
+    /// Assemble the level's match buffers into a staged output table:
+    /// carried columns gather over the match index, new columns take the
+    /// value vectors verbatim.
     fn flush_level(&mut self, ev: &mut Evaluator<'e>, k: usize) -> Result<()> {
         let BgpOp { vars, levels, .. } = self;
         let lvl = &mut levels[k];
@@ -542,7 +546,7 @@ impl<'e> Operator<'e> for BgpOp<'e> {
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
         let target = batch_rows.max(1);
         if self.levels.is_empty() {
-            // No patterns: the identity (matches `eval_bgp` on `[]`).
+            // No patterns: the BGP extension identity, one empty row.
             if self.identity_emitted {
                 return Ok(None);
             }
@@ -750,7 +754,7 @@ impl<'e> JoinOp<'e> {
 
     /// Drain and materialize the build (right) side, then check the
     /// merge-join claim's right half (key column fully bound and
-    /// non-decreasing — the same check `join_sorted` runs).
+    /// non-decreasing).
     fn build_side(&mut self, ev: &mut Evaluator<'e>, target: usize) -> Result<()> {
         let mut acc = IdTable::with_vars(self.right.vars().to_vec());
         while let Some(b) = self.right.next_batch(ev, target)? {
@@ -798,8 +802,7 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                 None => {
                     self.done = true;
                     // The rewrite counter records a merge join that held its
-                    // claim over the *entire* left input — exactly when the
-                    // materializing `join_sorted` would have taken it.
+                    // claim over the *entire* left input.
                     if self.merge_key.is_some() && self.merge.is_some() {
                         match self.kind {
                             JoinKind::Inner => ev.merge_joins += 1,
@@ -886,8 +889,13 @@ impl<'e> Operator<'e> for JoinOp<'e> {
     }
 }
 
-/// Hash-probe one left batch against the materialized right side,
-/// replicating [`join`]'s key selection and pair order exactly. The key
+/// Hash-probe one left batch against the materialized right side. Key
+/// selection: the shared variables bound in *every* row of the batch and
+/// of the right side (one bitmap popcount per column) form the hash key;
+/// remaining shared variables are checked per candidate pair with
+/// unbound-is-compatible semantics, and no usable key falls back to a
+/// nested loop. The pair list is charged against the budget between left
+/// rows (overshoot bounded by one left row's candidates). The key
 /// positions are chosen per batch (bound-ness of the *batch*, not the whole
 /// left input, is what's observable here); any choice yields the same pair
 /// list because bucket membership plus the compatibility check equals the
@@ -988,7 +996,7 @@ fn hash_probe(
 // ---------------------------------------------------------------------------
 
 /// Bag union: stream the left input, then the right, aligning each batch
-/// to the combined schema (same column-at-a-time alignment as [`union`]).
+/// to the combined schema (absent columns become all-unbound).
 struct UnionOp<'e> {
     left: BoxOp<'e>,
     right: BoxOp<'e>,
@@ -1161,9 +1169,8 @@ impl<'e> Operator<'e> for ProjectOp<'e> {
 
 /// A sortedness claim tracked incrementally across batches: refuted once,
 /// refuted forever. Controls only the rewrite *counters* (`sorted_groups`,
-/// `sorted_distincts`) — the streaming operators always use hash state, so
-/// a refuted claim changes no output (hash and run-detection strategies
-/// are pinned to emit identical first-occurrence bags).
+/// `sorted_distincts`) — the operators always use hash state, so a refuted
+/// claim changes no output.
 struct SortedClaim {
     cols: Vec<usize>,
     prev: Option<Vec<TermId>>,
@@ -1178,19 +1185,18 @@ impl SortedClaim {
     }
 }
 
-/// Per-aggregate streaming plan. Mirrors `eval_group`'s id-native plans
-/// except `SUM/AVG/MIN/MAX` over a column, which needs a whole-input
-/// numeric precheck the streaming operator cannot run — those degrade to
-/// the general term path, whose results are pinned identical to the
-/// numeric accumulator by `numeric_accum_matches_agg_state`.
-enum StreamAggPlan<'e> {
+/// Per-aggregate plan: `COUNT[ DISTINCT](?v)` counts ids straight off the
+/// column, `SAMPLE(?v)` takes the first bound id, and everything else
+/// (including `SUM/AVG/MIN/MAX`) evaluates the expression per row into a
+/// term-based [`AggState`] — the materialization boundary for aggregates.
+enum AggPlan<'e> {
     Star,
     CountCol { idx: usize, distinct: bool },
     SampleCol { idx: usize },
     General(&'e Expr),
 }
 
-enum StreamAccum {
+enum AggAccum {
     Terms(Box<AggState>),
     CountIds {
         seen: Option<HashSet<TermId>>,
@@ -1199,7 +1205,7 @@ enum StreamAccum {
     First(Option<TermId>),
 }
 
-enum StreamGroupIndex {
+enum GroupIndex {
     One(HashMap<u64, usize>),
     Many(HashMap<Vec<u64>, usize>),
 }
@@ -1207,16 +1213,16 @@ enum StreamGroupIndex {
 /// Streaming GROUP BY: a pipeline breaker whose live state is the group
 /// table, not the input — rows accumulate into per-group accumulators
 /// batch by batch and the output is emitted only at input exhaustion, in
-/// first-occurrence order (the order every materializing strategy emits).
+/// first-occurrence order.
 struct GroupOp<'e> {
     input: BoxOp<'e>,
     keys: &'e [String],
     aggs: &'e [AggSpec],
     vars: Vec<String>,
     key_indices: Vec<Option<usize>>,
-    plans: Vec<StreamAggPlan<'e>>,
-    index: StreamGroupIndex,
-    groups: Vec<(Vec<Option<TermId>>, Vec<StreamAccum>)>,
+    plans: Vec<AggPlan<'e>>,
+    index: GroupIndex,
+    groups: Vec<(Vec<Option<TermId>>, Vec<AggAccum>)>,
     claim: Option<SortedClaim>,
     group_bytes: u64,
     staged: Option<Staged>,
@@ -1235,39 +1241,39 @@ impl<'e> GroupOp<'e> {
             .iter()
             .map(|k| child.iter().position(|v| v == k))
             .collect();
-        let plans: Vec<StreamAggPlan<'e>> = aggs
+        let plans: Vec<AggPlan<'e>> = aggs
             .iter()
             .map(|spec| match &spec.expr {
-                None => StreamAggPlan::Star,
+                None => AggPlan::Star,
                 Some(Expr::Var(v)) => match child.iter().position(|c| c == v) {
                     Some(idx) => match spec.op {
-                        AggOp::Count => StreamAggPlan::CountCol {
+                        AggOp::Count => AggPlan::CountCol {
                             idx,
                             distinct: spec.distinct,
                         },
-                        AggOp::Sample => StreamAggPlan::SampleCol { idx },
+                        AggOp::Sample => AggPlan::SampleCol { idx },
                         AggOp::Sum | AggOp::Avg | AggOp::Min | AggOp::Max => {
-                            StreamAggPlan::General(spec.expr.as_ref().unwrap())
+                            AggPlan::General(spec.expr.as_ref().unwrap())
                         }
                     },
-                    None => StreamAggPlan::General(spec.expr.as_ref().unwrap()),
+                    None => AggPlan::General(spec.expr.as_ref().unwrap()),
                 },
-                Some(e) => StreamAggPlan::General(e),
+                Some(e) => AggPlan::General(e),
             })
             .collect();
 
         let mut index = if key_indices.len() == 1 {
-            StreamGroupIndex::One(HashMap::new())
+            GroupIndex::One(HashMap::new())
         } else {
-            StreamGroupIndex::Many(HashMap::new())
+            GroupIndex::Many(HashMap::new())
         };
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<StreamAccum>)> = Vec::new();
+        let mut groups: Vec<(Vec<Option<TermId>>, Vec<AggAccum>)> = Vec::new();
         if keys.is_empty() {
             // Implicit single group (aggregation without GROUP BY).
-            if let StreamGroupIndex::Many(m) = &mut index {
+            if let GroupIndex::Many(m) = &mut index {
                 m.insert(Vec::new(), 0);
             }
-            groups.push((Vec::new(), fresh_stream_accums(aggs, &plans)));
+            groups.push((Vec::new(), fresh_accums(aggs, &plans)));
         }
 
         // Static half of the `sorted_on` claim (the batch-local half runs
@@ -1310,8 +1316,8 @@ impl<'e> GroupOp<'e> {
         }
     }
 
-    /// Fold one input batch into the group table (the identical per-row
-    /// body as `eval_group`'s sequential loop, hash strategies only).
+    /// Fold one input batch into the group table, hashing `u64`-encoded
+    /// key cells (bijective, never terms).
     fn accumulate(&mut self, ev: &mut Evaluator<'e>, batch: &IdTable) -> Result<()> {
         if let Some(claim) = &mut self.claim {
             claim.check(batch);
@@ -1331,7 +1337,7 @@ impl<'e> GroupOp<'e> {
                 (groups.len() as u64).saturating_mul(*group_bytes),
             )?;
             let existing: Option<usize> = match index {
-                StreamGroupIndex::One(m) => {
+                GroupIndex::One(m) => {
                     let enc = match key_indices[0] {
                         Some(c) => batch.col(c).hash_code(i),
                         None => 0,
@@ -1344,7 +1350,7 @@ impl<'e> GroupOp<'e> {
                         Some(*slot)
                     }
                 }
-                StreamGroupIndex::Many(m) => {
+                GroupIndex::Many(m) => {
                     let key_enc: Vec<u64> = key_indices
                         .iter()
                         .map(|ki| match ki {
@@ -1369,14 +1375,14 @@ impl<'e> GroupOp<'e> {
                         .iter()
                         .map(|ki| ki.and_then(|c| batch.get(i, c)))
                         .collect();
-                    groups.push((key, fresh_stream_accums(aggs, plans)));
+                    groups.push((key, fresh_accums(aggs, plans)));
                     gi
                 }
             };
             for (accum, plan) in groups[gi].1.iter_mut().zip(plans.iter()) {
                 match (accum, plan) {
-                    (StreamAccum::Terms(state), StreamAggPlan::Star) => state.push_star(),
-                    (StreamAccum::Terms(state), StreamAggPlan::General(e)) => {
+                    (AggAccum::Terms(state), AggPlan::Star) => state.push_star(),
+                    (AggAccum::Terms(state), AggPlan::General(e)) => {
                         let value = {
                             let buf = &mut ev.scratch;
                             batch.read_row(i, buf);
@@ -1389,10 +1395,7 @@ impl<'e> GroupOp<'e> {
                         };
                         state.push_pooled(value, &mut ev.pool);
                     }
-                    (
-                        StreamAccum::CountIds { seen, count },
-                        StreamAggPlan::CountCol { idx, .. },
-                    ) => {
+                    (AggAccum::CountIds { seen, count }, AggPlan::CountCol { idx, .. }) => {
                         if let Some(id) = batch.get(i, *idx) {
                             match seen {
                                 Some(set) => {
@@ -1404,7 +1407,7 @@ impl<'e> GroupOp<'e> {
                             }
                         }
                     }
-                    (StreamAccum::First(first), StreamAggPlan::SampleCol { idx }) => {
+                    (AggAccum::First(first), AggPlan::SampleCol { idx }) => {
                         if first.is_none() {
                             *first = batch.get(i, *idx);
                         }
@@ -1416,8 +1419,8 @@ impl<'e> GroupOp<'e> {
         Ok(())
     }
 
-    /// Emit the group table (first-occurrence order, identical interning
-    /// sequence to `eval_group`'s finish loop).
+    /// Emit the group table in first-occurrence order, interning the
+    /// computed aggregate terms so the columns stay id-native.
     fn finish(&mut self, ev: &mut Evaluator<'e>) -> Result<()> {
         if let Some(claim) = &self.claim {
             if claim.valid {
@@ -1438,11 +1441,11 @@ impl<'e> GroupOp<'e> {
             }
             for (col, accum) in agg_cols.iter_mut().zip(accums) {
                 let value: Option<TermId> = match accum {
-                    StreamAccum::Terms(state) => state.finish().map(|t| ev.pool.intern(t)),
-                    StreamAccum::CountIds { count, .. } => {
+                    AggAccum::Terms(state) => state.finish().map(|t| ev.pool.intern(t)),
+                    AggAccum::CountIds { count, .. } => {
                         Some(ev.pool.intern(Term::integer(count as i64)))
                     }
-                    StreamAccum::First(id) => id,
+                    AggAccum::First(id) => id,
                 };
                 col.push(value);
             }
@@ -1454,16 +1457,16 @@ impl<'e> GroupOp<'e> {
     }
 }
 
-fn fresh_stream_accums(aggs: &[AggSpec], plans: &[StreamAggPlan]) -> Vec<StreamAccum> {
+fn fresh_accums(aggs: &[AggSpec], plans: &[AggPlan]) -> Vec<AggAccum> {
     aggs.iter()
         .zip(plans)
         .map(|(a, plan)| match plan {
-            StreamAggPlan::CountCol { distinct, .. } => StreamAccum::CountIds {
+            AggPlan::CountCol { distinct, .. } => AggAccum::CountIds {
                 seen: distinct.then(HashSet::new),
                 count: 0,
             },
-            StreamAggPlan::SampleCol { .. } => StreamAccum::First(None),
-            _ => StreamAccum::Terms(Box::new(AggState::new_id_distinct(a.op, a.distinct))),
+            AggPlan::SampleCol { .. } => AggAccum::First(None),
+            _ => AggAccum::Terms(Box::new(AggState::new_id_distinct(a.op, a.distinct))),
         })
         .collect()
 }
@@ -1498,15 +1501,50 @@ impl<'e> Operator<'e> for GroupOp<'e> {
 // Distinct
 // ---------------------------------------------------------------------------
 
+/// Seen-set of rows, keyed by their `u64`-encoded cells (bijective, so key
+/// equality is row equality). Rows of up to two columns pack into one
+/// integer key, so the common shapes hash without a per-row allocation.
+enum SeenRows {
+    One(HashSet<u64, FxBuildHasher>),
+    Two(HashSet<u128, FxBuildHasher>),
+    Many(HashSet<Vec<u64>, FxBuildHasher>),
+}
+
+impl SeenRows {
+    fn new(width: usize) -> Self {
+        match width {
+            0 | 1 => SeenRows::One(HashSet::default()),
+            2 => SeenRows::Two(HashSet::default()),
+            _ => SeenRows::Many(HashSet::default()),
+        }
+    }
+
+    /// Record row `i` of `t`; `true` when it was not seen before.
+    fn insert(&mut self, t: &IdTable, i: usize) -> bool {
+        let code = |c: usize| t.col(c).hash_code(i);
+        match self {
+            SeenRows::One(set) => set.insert(if t.vars.is_empty() { 0 } else { code(0) }),
+            SeenRows::Two(set) => set.insert((code(0) as u128) << 64 | code(1) as u128),
+            SeenRows::Many(set) => set.insert((0..t.vars.len()).map(code).collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            SeenRows::One(set) => set.len(),
+            SeenRows::Two(set) => set.len(),
+            SeenRows::Many(set) => set.len(),
+        }
+    }
+}
+
 /// Streaming DISTINCT (plain and order-claimed): a persistent seen-set
-/// keeps first occurrences across batches — the exact keep-first bag both
-/// `hash_distinct` and the sorted run-detection path produce. The order
-/// claim (when present) is verified incrementally purely to drive the
-/// `sorted_distincts` counter.
+/// keeps first occurrences across batches. The order claim (when present)
+/// is verified incrementally purely to drive the `sorted_distincts`
+/// counter.
 struct DistinctOp<'e> {
     input: BoxOp<'e>,
-    seen_one: Option<HashSet<u64>>,
-    seen_many: Option<HashSet<Vec<u64>>>,
+    seen: SeenRows,
     claim: Option<SortedClaim>,
     done: bool,
 }
@@ -1517,7 +1555,7 @@ impl<'e> DistinctOp<'e> {
         let width = child.len();
         // Static half of the order claim: every order var is a column and
         // every column is covered by the order (else order-equal rows could
-        // differ and the claim is ineligible, same as `sorted_distinct_mask`).
+        // differ and the claim is ineligible).
         let claim = order.and_then(|order| {
             let cols: Option<Vec<usize>> = order
                 .iter()
@@ -1535,8 +1573,7 @@ impl<'e> DistinctOp<'e> {
         });
         DistinctOp {
             input,
-            seen_one: (width == 1).then(HashSet::new),
-            seen_many: (width != 1).then(HashSet::new),
+            seen: SeenRows::new(width),
             claim,
             done: false,
         }
@@ -1568,21 +1605,8 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
                         claim.check(&t);
                     }
                     let width = t.vars.len();
-                    let mut keep = Vec::with_capacity(t.len());
-                    let mut live = 0u64;
-                    if let Some(seen) = &mut self.seen_one {
-                        let col = t.col(0);
-                        for i in 0..t.len() {
-                            keep.push(seen.insert(col.hash_code(i)));
-                        }
-                        live = seen.len() as u64;
-                    } else if let Some(seen) = &mut self.seen_many {
-                        for i in 0..t.len() {
-                            let key: Vec<u64> = (0..width).map(|c| t.col(c).hash_code(i)).collect();
-                            keep.push(seen.insert(key));
-                        }
-                        live = seen.len() as u64;
-                    }
+                    let keep: Vec<bool> = (0..t.len()).map(|i| self.seen.insert(&t, i)).collect();
+                    let live = self.seen.len() as u64;
                     // The seen-set is this breaker's accumulating state.
                     ev.meter
                         .charge_intermediate(live, live.saturating_mul(8 * width.max(1) as u64))?;
@@ -1596,12 +1620,7 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
     }
 
     fn live_size(&self) -> (u64, u64) {
-        let rows = self
-            .seen_one
-            .as_ref()
-            .map(|s| s.len() as u64)
-            .or_else(|| self.seen_many.as_ref().map(|s| s.len() as u64))
-            .unwrap_or(0);
+        let rows = self.seen.len() as u64;
         add2(self.input.live_size(), (rows, rows.saturating_mul(16)))
     }
 }
@@ -1686,8 +1705,9 @@ impl<'e> Operator<'e> for SortOp<'e> {
 
 /// OFFSET/LIMIT with genuine early termination: once `limit` rows have
 /// been emitted the operator stops pulling upstream entirely, so upstream
-/// scans never run — the one place streaming legitimately does *less* scan
-/// work than the materializing path (the documented parity carve-out).
+/// scans never run — the one place the pipeline legitimately does *less*
+/// scan work than the reference evaluator (the documented parity
+/// carve-out).
 struct SliceOp<'e> {
     input: BoxOp<'e>,
     offset: usize,
@@ -1745,5 +1765,60 @@ impl<'e> Operator<'e> for SliceOp<'e> {
 
     fn live_size(&self) -> (u64, u64) {
         self.input.live_size()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Test sources
+// ---------------------------------------------------------------------------
+
+/// Operator constructors over hand-built input tables, so the evaluator's
+/// unit tests can drive single operators at chosen batch sizes.
+#[cfg(test)]
+pub(in crate::eval) mod test_ops {
+    use super::*;
+
+    /// Replays a fixed table in batch-sized windows.
+    struct TableOp {
+        vars: Vec<String>,
+        staged: Option<Staged>,
+    }
+
+    impl<'e> Operator<'e> for TableOp {
+        fn vars(&self) -> &[String] {
+            &self.vars
+        }
+
+        fn next_batch(&mut self, _ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
+            Ok(take_window(&mut self.staged, n.max(1)))
+        }
+
+        fn live_size(&self) -> (u64, u64) {
+            staged_live(&self.staged)
+        }
+    }
+
+    pub fn table<'e>(t: IdTable) -> BoxOp<'e> {
+        Box::new(TableOp {
+            vars: t.vars.clone(),
+            staged: Some(Staged { table: t, off: 0 }),
+        })
+    }
+
+    pub fn join<'e>(
+        left: BoxOp<'e>,
+        right: BoxOp<'e>,
+        kind: JoinKind,
+        merge_key: Option<&'e str>,
+    ) -> BoxOp<'e> {
+        Box::new(JoinOp::new(left, right, kind, merge_key))
+    }
+
+    pub fn union<'e>(left: BoxOp<'e>, right: BoxOp<'e>) -> BoxOp<'e> {
+        Box::new(UnionOp::new(left, right))
+    }
+
+    pub fn distinct<'e>(input: BoxOp<'e>, order: Option<&'e [String]>) -> BoxOp<'e> {
+        Box::new(DistinctOp::new(input, order))
     }
 }

@@ -161,7 +161,7 @@ impl<'a> ReferenceEvaluator<'a> {
                 keys, aggs, input, ..
             } => {
                 let t = self.eval(input)?;
-                self.eval_group(keys, aggs, t)
+                self.eval_aggregate(keys, aggs, t)
             }
             Plan::Project(vars, p) => {
                 let t = self.eval(p)?;
@@ -388,7 +388,7 @@ impl<'a> ReferenceEvaluator<'a> {
         scanned
     }
 
-    fn eval_group(
+    fn eval_aggregate(
         &mut self,
         keys: &[String],
         aggs: &[AggSpec],

@@ -359,8 +359,8 @@ fn cast(term: &Term, datatype: &str) -> Option<Term> {
 /// DISTINCT dedup strategy for [`AggState`].
 ///
 /// The term-materialized reference evaluator hashes whole [`Term`]s; the
-/// id-native evaluators intern each computed aggregate input through their
-/// [`TermPool`] and dedup on `u32` [`TermId`]s instead (the pool guarantees
+/// columnar evaluator interns each computed aggregate input through its
+/// [`TermPool`] and dedups on `u32` [`TermId`]s instead (the pool guarantees
 /// two ids are equal iff the terms are equal, so the bags are identical —
 /// only the hashing cost changes).
 #[derive(Debug)]

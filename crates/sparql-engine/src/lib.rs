@@ -26,12 +26,16 @@
 //! column per variable plus a presence bitmap), scans append into reused
 //! column buffers, and joins, `DISTINCT`, and grouping hash integers off
 //! column slices. Terms are materialized only at expression/sort boundaries
-//! and the final projection — see [`eval`] and [`pool`]. Two earlier
-//! evaluators survive as differential-testing oracles and benchmarking
-//! baselines, selected via [`engine::EvalMode`]: the PR 1 row-at-a-time
-//! id-native pipeline ([`eval_rows`]) and the seed term-materialized one
-//! ([`eval_reference`]). All three agree on results *and* on the
-//! `rows_scanned` work metric.
+//! and the final projection — see [`eval`] and [`pool`].
+//!
+//! There are two evaluators. The pull-based operator pipeline
+//! ([`eval`]'s `pipeline`) is the engine: [`Engine::cursor`] streams its
+//! batches, and [`Engine::execute`] and its siblings drain the same
+//! pipeline into one table. The seed term-materialized evaluator
+//! ([`eval_reference`], selected via [`engine::EvalMode::TermReference`])
+//! is kept as an independent oracle. Both agree on results *and* on the
+//! `rows_scanned` work metric, except that the pipeline's `LIMIT` stops
+//! scanning once satisfied.
 
 pub mod algebra;
 pub mod ast;
@@ -40,7 +44,6 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod eval_reference;
-pub mod eval_rows;
 pub mod expr;
 pub mod lexer;
 pub mod optimizer;
@@ -48,6 +51,10 @@ pub mod parser;
 pub mod pool;
 pub mod regex_lite;
 pub mod results;
+
+#[cfg(test)]
+#[path = "row_semantics_tests.rs"]
+mod eval_rows;
 
 pub use budget::{BudgetMeter, QueryBudget, ResourceKind};
 pub use engine::{

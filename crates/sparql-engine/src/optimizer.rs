@@ -26,20 +26,23 @@
 //!      condition (the merge emits unmatched left rows in place, exactly
 //!      like the hash left join);
 //!    - [`Plan::Distinct`] → [`Plan::SortedDistinct`] annotated with the
-//!      input's order sequence, so the evaluator can deduplicate by run
-//!      detection when the sequence covers every output column;
+//!      input's order sequence when the sequence covers every output
+//!      column;
 //!    - [`Plan::Group`] gets its `sorted_on` field filled when the
 //!      grouping keys are exactly a *prefix* of the input order (in any
-//!      key order — prefix equality is set-wise), so grouping degenerates
-//!      to run detection. This is where secondary sort orders pay off:
-//!      a BGP sorted on `[?a, ?b]` serves `GROUP BY ?a` and
-//!      `DISTINCT ?a ?b` alike.
+//!      key order — prefix equality is set-wise). This is where secondary
+//!      sort orders pay off: a BGP sorted on `[?a, ?b]` serves
+//!      `GROUP BY ?a` and `DISTINCT ?a ?b` alike.
+//!
+//!    The pipeline still deduplicates and groups by hash; it verifies the
+//!    two aggregation claims as batches pass and counts the ones that held
+//!    (`sorted_distincts`, `sorted_groups`).
 //!
 //! Passes 2 and 3 are pure physical rewrites: results are identical with
 //! them on or off (property-tested), only the work done changes. Every
-//! order claim is re-verified at run time by the columnar evaluator (one
-//! linear pass) with a hash fallback, so this analysis only has to be
-//! precise, not paranoid.
+//! order claim is re-verified at run time by the columnar evaluator
+//! (incrementally, batch by batch) with a hash fallback for the joins, so
+//! this analysis only has to be precise, not paranoid.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -308,9 +311,9 @@ impl<'a> Optimizer<'a> {
             Plan::Distinct(p) => {
                 let order = self.plan_order_rewrites(p);
                 // Dedup keeps first occurrences in input order, so the
-                // order survives — and when one is known, the evaluator can
-                // dedup by run detection (it checks coverage of the output
-                // schema and actual sortedness itself).
+                // order survives — and when one is known, annotate it (the
+                // evaluator checks coverage of the output schema and
+                // actual sortedness itself).
                 if self.sorted_distinct && !order.is_empty() {
                     if let Plan::Distinct(input) = std::mem::replace(plan, Plan::Unit) {
                         *plan = Plan::SortedDistinct {

@@ -43,11 +43,7 @@ fn engine(ds: &Arc<Dataset>, eval_mode: EvalMode, budget: QueryBudget) -> Engine
     )
 }
 
-const ALL_MODES: [EvalMode; 3] = [
-    EvalMode::Columnar,
-    EvalMode::IdNative,
-    EvalMode::TermReference,
-];
+const ALL_MODES: [EvalMode; 2] = [EvalMode::Columnar, EvalMode::TermReference];
 
 #[test]
 fn runaway_cross_join_trips_every_axis_on_every_evaluator() {
@@ -164,30 +160,11 @@ fn error_is_value_not_panic_and_engine_stays_usable() {
 fn cursor_path_enforces_budgets() {
     let ds = dataset(4000);
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(50_000);
-    // Materializing cursor (streaming off): evaluation is eager, so the
-    // violation surfaces at cursor creation.
-    let tripped = Engine::with_config(
-        Arc::clone(&ds),
-        EngineConfig {
-            budget: budget.clone(),
-            streaming: false,
-            ..EngineConfig::new()
-        },
-    );
-    let prepared = tripped.prepare(CROSS_JOIN).unwrap();
-    assert!(matches!(
-        tripped.cursor(&prepared, 1024),
-        Err(EngineError::ResourceExhausted {
-            resource: ResourceKind::IntermediateRows,
-            ..
-        })
-    ));
-
-    // Streaming cursor: creation only compiles the pipeline, so budget
-    // violations surface while draining instead. The bare cross join
-    // streams with bounded live state and would complete; an ORDER BY on
-    // top is a pipeline breaker that must accumulate its input — the same
-    // typed trip, now raised from inside `next_batch`.
+    // Cursor creation only compiles the pipeline, so budget violations
+    // surface while draining. The bare cross join streams with bounded
+    // live state and would complete; an ORDER BY on top is a pipeline
+    // breaker that must accumulate its input — a typed trip raised from
+    // inside `next_batch`.
     let streaming = engine(&ds, EvalMode::Columnar, budget);
     let ordered = format!("{CROSS_JOIN} ORDER BY ?a");
     let prepared = streaming.prepare(&ordered).unwrap();
@@ -235,24 +212,53 @@ fn cursor_path_enforces_budgets() {
 
 #[test]
 fn grouping_and_ordinary_joins_are_metered_too() {
-    // The governor covers aggregation and key joins, not just BGP
-    // cross products: a GROUP BY over the runaway join must trip on
-    // intermediate rows before the group table forms.
+    // The governor covers aggregation, not just BGP cross products: a
+    // GROUP BY whose group table outgrows the limit (4M (?b, ?d) groups)
+    // must trip on intermediate rows on every evaluator.
     let ds = dataset(2000);
-    let q = "SELECT ?b (COUNT(?d) AS ?n) FROM <http://g> WHERE { \
-             ?a <http://x/p> ?b . ?c <http://x/p> ?d } GROUP BY ?b";
+    let budget = QueryBudget::unlimited().with_max_intermediate_rows(20_000);
+    let per_pair = "SELECT ?b ?d (COUNT(?a) AS ?n) FROM <http://g> WHERE { \
+                    ?a <http://x/p> ?b . ?c <http://x/p> ?d } GROUP BY ?b ?d";
     for mode in ALL_MODES {
-        let engine = engine(
-            &ds,
-            mode,
-            QueryBudget::unlimited().with_max_intermediate_rows(20_000),
-        );
+        let engine = engine(&ds, mode, budget.clone());
         assert!(
             matches!(
-                engine.execute(q),
-                Err(EngineError::ResourceExhausted { .. })
+                engine.execute(per_pair),
+                Err(EngineError::ResourceExhausted {
+                    resource: ResourceKind::IntermediateRows,
+                    ..
+                })
             ),
             "{mode:?}"
         );
     }
+
+    // Grouping the same runaway join down to 2,000 groups: the reference
+    // evaluator materializes the 4M-row input and trips, while the
+    // sequential pipeline holds one batch plus the group table and
+    // completes. (Pinned to one thread: a parallel BGP block extends all
+    // of its input rows at once, which is more than 20,000 rows here.)
+    let per_b = "SELECT ?b (COUNT(?d) AS ?n) FROM <http://g> WHERE { \
+                 ?a <http://x/p> ?b . ?c <http://x/p> ?d } GROUP BY ?b";
+    let reference = engine(&ds, EvalMode::TermReference, budget.clone());
+    assert!(matches!(
+        reference.execute(per_b),
+        Err(EngineError::ResourceExhausted {
+            resource: ResourceKind::IntermediateRows,
+            ..
+        })
+    ));
+    let pipeline = Engine::with_config(
+        Arc::clone(&ds),
+        EngineConfig {
+            budget,
+            threads: 1,
+            ..EngineConfig::new()
+        },
+    );
+    let t = pipeline
+        .execute(per_b)
+        .expect("live state stays under budget");
+    assert_eq!(t.len(), 2000);
+    assert!(t.rows.iter().all(|r| r[1] == Some(Term::integer(2000))));
 }

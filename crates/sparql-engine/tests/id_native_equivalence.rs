@@ -1,10 +1,12 @@
-//! Differential tests: the columnar evaluator against the PR 1 row-at-a-time
-//! id-native evaluator and the seed term-materialized reference evaluator.
+//! Differential tests: the columnar pull pipeline against the seed
+//! term-materialized reference evaluator.
 //!
 //! Every query from the end-to-end suite (plus aggregate-heavy shapes) runs
-//! on all three paths; results must be identical after `canonicalize()` and
-//! the deterministic work metric (`rows_scanned`) must match exactly — the
-//! refactors change the row representation, not the access-path order. The
+//! on three paths — the pipeline drained by `execute`, the pipeline pulled
+//! through a cursor in 7-row batches, and the reference evaluator; results
+//! must be identical after `canonicalize()` and the deterministic work
+//! metric (`rows_scanned`) must match exactly — the pipeline changes the
+//! row representation, not the access-path order. The
 //! whole matrix additionally runs against both storage states of the graphs
 //! (compacted slabs via `Dataset::insert_graph` and delta-resident via
 //! `Dataset::insert_shared`), so slab scans, delta scans, and merged scans
@@ -15,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Literal, Term, Triple};
-use sparql_engine::{Engine, EngineConfig, EvalMode};
+use sparql_engine::{Engine, EngineConfig, EvalMode, SolutionTable};
 
 fn iri(s: &str) -> Term {
     Term::iri(s.to_string())
@@ -50,7 +52,7 @@ fn movie_graph() -> Graph {
         for m in 0..movies {
             let movie = iri(&format!("http://dbpedia.org/resource/{name}_movie{m}"));
             g.insert(&Triple::new(movie.clone(), starring.clone(), a.clone()));
-            // Integer rating (id-native numeric aggregation), double score
+            // Integer rating (numeric aggregation), double score
             // (mixed int/double comparisons), duplicated values across
             // movies so DISTINCT aggregation differs from plain.
             g.insert(&Triple::new(
@@ -176,21 +178,21 @@ fn queries() -> Vec<String> {
             "SELECT ?movie (1 AS ?one) FROM <http://dbpedia.org> WHERE { \
              ?movie dbpp:starring ?actor . BIND ( 1 AS ?one ) }",
         ),
-        // ORDER BY + LIMIT exercises the TopK fusion on the id-native paths
-        // (and plain sort+truncate on the reference path).
+        // ORDER BY + LIMIT exercises the TopK fusion on the pipeline (and
+        // plain sort+truncate on the reference path).
         q("SELECT ?movie ?actor FROM <http://dbpedia.org> \
            WHERE { ?movie dbpp:starring ?actor } ORDER BY ?actor ?movie LIMIT 3"),
         q("SELECT ?movie FROM <http://dbpedia.org> \
            WHERE { ?movie dbpp:starring ?actor } ORDER BY ?movie LIMIT 100"),
         // --- aggregate-heavy shapes -------------------------------------
-        // Integer column: the columnar evaluator's id-native numeric path.
+        // Integer column: numeric SUM/AVG/MIN/MAX on every path.
         q("SELECT ?actor (SUM(?r) AS ?total) (AVG(?r) AS ?avg) \
            (MIN(?r) AS ?lo) (MAX(?r) AS ?hi) (COUNT(?r) AS ?n) \
            FROM <http://dbpedia.org> WHERE { \
              ?movie dbpp:starring ?actor . ?movie dbpp:rating ?r } \
            GROUP BY ?actor ORDER BY ?actor"),
         // DISTINCT over duplicated numeric values (SUM/AVG change, MIN/MAX
-        // don't; dedup is on ids for the id-native paths).
+        // don't; dedup is on ids in the pipeline).
         q(
             "SELECT ?actor (SUM(DISTINCT ?r) AS ?total) (AVG(DISTINCT ?r) AS ?avg) \
            FROM <http://dbpedia.org> WHERE { \
@@ -208,7 +210,7 @@ fn queries() -> Vec<String> {
            FROM <http://dbpedia.org> WHERE { ?movie dbpp:note ?v }",
         ),
         // COUNT DISTINCT of a *computed* expression: inputs intern through
-        // the TermPool and dedup on ids in the id-native paths.
+        // the TermPool and dedup on ids in the pipeline.
         q("SELECT ?actor (COUNT(DISTINCT str(?movie)) AS ?n) \
            FROM <http://dbpedia.org> WHERE { ?movie dbpp:starring ?actor } \
            GROUP BY ?actor ORDER BY ?actor"),
@@ -284,11 +286,10 @@ fn queries() -> Vec<String> {
     ]
 }
 
-/// The three evaluators, same optimizer setting.
+/// The two evaluators, same optimizer setting.
 fn engines(ds: Arc<Dataset>, optimize: bool) -> Vec<(&'static str, Engine)> {
     [
         ("columnar", EvalMode::Columnar),
-        ("id-native-rows", EvalMode::IdNative),
         ("reference", EvalMode::TermReference),
     ]
     .into_iter()
@@ -308,19 +309,54 @@ fn engines(ds: Arc<Dataset>, optimize: bool) -> Vec<(&'static str, Engine)> {
     .collect()
 }
 
-/// Run every query on every evaluator and demand identical bags and
-/// identical `rows_scanned`.
+/// Drain a cursor over `q` in `batch_rows`-row batches into a solution
+/// table, returning it with the cursor's `rows_scanned`.
+fn cursor_table(engine: &Engine, q: &str, batch_rows: usize) -> (SolutionTable, u64) {
+    let prepared = engine.prepare(q).unwrap();
+    let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
+    let mut table = SolutionTable::with_vars(cursor.vars().to_vec());
+    while let Some(batch) = cursor.next_batch().unwrap() {
+        for row in 0..batch.len {
+            table.rows.push(
+                (0..batch.vars().len())
+                    .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
+                    .collect(),
+            );
+        }
+    }
+    (table, cursor.rows_scanned())
+}
+
+/// `q` on all three paths: each evaluator's `execute`, plus a 7-row cursor
+/// drain of the columnar engine. Tables come back canonicalized, with
+/// their `rows_scanned`.
+fn run_paths(
+    engines: &[(&'static str, Engine)],
+    q: &str,
+) -> Vec<(&'static str, SolutionTable, u64)> {
+    let mut results = Vec::new();
+    for (name, engine) in engines {
+        let (t, stats) = engine
+            .execute_with_stats(q)
+            .unwrap_or_else(|e| panic!("{name} failed: {e}\n{q}"));
+        results.push((*name, t, stats.rows_scanned));
+        if engine.config().eval_mode == EvalMode::Columnar {
+            let (t, scanned) = cursor_table(engine, q, 7);
+            results.push(("columnar cursor", t, scanned));
+        }
+    }
+    for (_, t, _) in &mut results {
+        t.canonicalize();
+    }
+    results
+}
+
+/// Run every query on every path and demand identical bags and identical
+/// `rows_scanned`.
 fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
     let engines = engines(ds, optimize);
     for q in queries() {
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine
-                .execute_with_stats(&q)
-                .unwrap_or_else(|e| panic!("{name} failed ({label}): {e}\n{q}"));
-            t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
-        }
+        let results = run_paths(&engines, &q);
         let (base_name, base_table, base_scanned) = &results[0];
         for (name, table, scanned) in &results[1..] {
             assert_eq!(
@@ -370,7 +406,7 @@ fn compacted_and_uncompacted_storage_agree() {
 #[test]
 fn pushdown_and_merge_rewrites_preserve_results() {
     // The two physical rewrites on vs off, across both storage layouts and
-    // all three evaluators: identical bags everywhere (scan counts differ —
+    // both evaluators: identical bags everywhere (scan counts differ —
     // that is the point of the rewrites).
     for compacted in [true, false] {
         let ds = dataset(compacted);
@@ -541,16 +577,29 @@ fn paged_execution_matches_full_execution() {
         "{PREFIXES} SELECT ?movie ?actor FROM <http://dbpedia.org> \
          WHERE {{ ?movie dbpp:starring ?actor }} ORDER BY ?movie ?actor"
     );
-    let full = engines[0].1.execute(&q).unwrap();
-    for offset in 0..=full.len() + 1 {
-        let (page, _) = engines[0].1.execute_page(&q, offset, 2).unwrap();
-        for (name, engine) in &engines[1..] {
-            let (other, _) = engine.execute_page(&q, offset, 2).unwrap();
-            assert_eq!(page, other, "page at offset {offset} diverges on {name}");
+    let (full, full_stats) = engines[0].1.execute_with_stats(&q).unwrap();
+    for (name, engine) in &engines {
+        let (own_full, own_stats) = engine.execute_with_stats(&q).unwrap();
+        assert_eq!(own_full, full, "{name}: full result diverges");
+        let mut stitched = Vec::new();
+        for offset in 0..=full.len() + 1 {
+            let (page, stats) = engine.execute_page(&q, offset, 2).unwrap();
+            // Paging drains fully, then slices: every page does the full
+            // execution's scan work, on either evaluator.
+            assert_eq!(
+                stats.rows_scanned, own_stats.rows_scanned,
+                "{name}: page at offset {offset} scanned differently"
+            );
+            assert_eq!(own_stats.rows_scanned, full_stats.rows_scanned, "{name}");
+            let lo = offset.min(full.rows.len());
+            let hi = (offset + 2).min(full.rows.len());
+            assert_eq!(&page.rows[..], &full.rows[lo..hi], "{name} @ {offset}");
+            if offset % 2 == 0 {
+                stitched.extend(page.rows);
+            }
         }
-        let lo = offset.min(full.rows.len());
-        let hi = (offset + 2).min(full.rows.len());
-        assert_eq!(&page.rows[..], &full.rows[lo..hi]);
+        // Concatenated non-overlapping pages are the full result.
+        assert_eq!(stitched, full.rows, "{name}: stitched pages diverge");
     }
 }
 
@@ -687,12 +736,7 @@ proptest! {
         let ds = build_two_graph_dataset(&triples);
         let engines = engines(ds, true);
         let q = render_query(&patterns);
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
-            t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
-        }
+        let results = run_paths(&engines, &q);
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
             prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -723,12 +767,7 @@ proptest! {
         prop_assert_eq!(&a, &b, "pushdown changed results: {}", q);
         // And the rewritten plan still holds exact cross-evaluator parity.
         let engines = engines(ds, true);
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
-            t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
-        }
+        let results = run_paths(&engines, &q);
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
             prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -746,7 +785,7 @@ proptest! {
         // BGPs (graph `a` compacted, graph `b` delta-resident) wrapped in
         // DISTINCT and in GROUP BY, executed with the sorted fast paths on
         // vs off — identical bags — and with exact result + `rows_scanned`
-        // parity across all three evaluators on the rewritten plans.
+        // parity across all three paths on the rewritten plans.
         let ds = build_two_graph_dataset(&triples);
         let body = render_query(&patterns);
         let pattern_block = body.strip_prefix("SELECT * ").unwrap();
@@ -773,12 +812,7 @@ proptest! {
             prop_assert_eq!(s_a.rows_scanned, s_b.rows_scanned, "scan work drifted: {}", q);
             // Cross-evaluator parity on the rewritten plan.
             let engines = engines(Arc::clone(&ds), true);
-            let mut results = Vec::new();
-            for (name, engine) in &engines {
-                let (mut t, stats) = engine.execute_with_stats(q).unwrap();
-                t.canonicalize();
-                results.push((name, t, stats.rows_scanned));
-            }
+            let results = run_paths(&engines, q);
             for pair in results.windows(2) {
                 prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
                 prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);

@@ -1,21 +1,23 @@
 //! Streaming-pipeline satellites: LIMIT early exit, bounded live memory,
 //! budget semantics, and telemetry — plus a property test that random
-//! BGP/OPTIONAL/GROUP BY shapes stream byte-identically at random batch
-//! sizes.
+//! BGP/OPTIONAL/GROUP BY shapes stream identically at random batch sizes,
+//! checked against the term-materialized reference evaluator.
 //!
 //! **The LIMIT carve-out.** The parity oracle everywhere else in this
-//! repository is *exact* `rows_scanned` equality between evaluators and
-//! between streaming and materializing execution. `LIMIT` is the one
-//! deliberate exception: the streaming slice stops pulling its upstream
-//! once the limit is satisfied, so upstream scans never run — streaming
-//! legitimately scans *fewer* index entries. Results (rows, order, bytes)
-//! remain identical; only the work count drops.
+//! repository is *exact* `rows_scanned` equality between the pipeline and
+//! the reference evaluator. `LIMIT` is the one deliberate exception: the
+//! pipeline's slice stops pulling its upstream once the limit is
+//! satisfied, so upstream scans never run — the pipeline legitimately
+//! scans *fewer* index entries. Results (rows, order, bytes) remain
+//! identical; only the work count drops.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Term, Triple};
-use sparql_engine::{Engine, EngineConfig, EngineError, ExecStats, QueryBudget, ResourceKind};
+use sparql_engine::{
+    Engine, EngineConfig, EngineError, EvalMode, ExecStats, QueryBudget, ResourceKind,
+};
 
 const GRAPH: &str = "http://g";
 
@@ -47,12 +49,22 @@ fn dataset(n: usize, delta_resident: bool) -> Arc<Dataset> {
     Arc::new(ds)
 }
 
-fn engine(ds: &Arc<Dataset>, streaming: bool, budget: QueryBudget) -> Engine {
+fn engine(ds: &Arc<Dataset>, budget: QueryBudget) -> Engine {
     Engine::with_config(
         Arc::clone(ds),
         EngineConfig {
-            streaming,
             budget,
+            ..EngineConfig::new()
+        },
+    )
+}
+
+/// The term-materialized oracle over the same dataset.
+fn reference(ds: &Arc<Dataset>) -> Engine {
+    Engine::with_config(
+        Arc::clone(ds),
+        EngineConfig {
+            eval_mode: EvalMode::TermReference,
             ..EngineConfig::new()
         },
     )
@@ -82,26 +94,18 @@ fn limit_early_exit_reduces_scan_work_on_both_layouts() {
     let q = format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }} LIMIT 10");
     for delta_resident in [false, true] {
         let ds = dataset(N, delta_resident);
-        let streaming = engine(&ds, true, QueryBudget::unlimited());
-        let materializing = engine(&ds, false, QueryBudget::unlimited());
+        let streaming = engine(&ds, QueryBudget::unlimited());
         let (rows_s, stats_s) = drain(&streaming, &q, 16);
-        let (rows_m, stats_m) = drain(&materializing, &q, 16);
+        let (table_r, stats_r) = reference(&ds).execute_with_stats(&q).unwrap();
         // Same ten rows, same order — the carve-out never changes results.
-        assert_eq!(rows_s, rows_m, "delta_resident={delta_resident}");
+        assert_eq!(rows_s, table_r.rows, "delta_resident={delta_resident}");
         assert_eq!(rows_s.len(), 10);
-        // The materializing path scans the whole index range; the
-        // streaming slice stops pulling after one 16-row batch.
+        // The reference evaluator scans the whole index range; the
+        // pipeline's slice stops pulling after one 16-row batch.
         assert!(
-            stats_m.rows_scanned >= N as u64,
-            "delta_resident={delta_resident}: materializing scanned {}",
-            stats_m.rows_scanned
-        );
-        assert!(
-            stats_s.rows_scanned < stats_m.rows_scanned,
-            "delta_resident={delta_resident}: streaming must scan strictly less \
-             ({} vs {})",
-            stats_s.rows_scanned,
-            stats_m.rows_scanned
+            stats_r.rows_scanned >= N as u64,
+            "delta_resident={delta_resident}: reference scanned {}",
+            stats_r.rows_scanned
         );
         assert!(
             stats_s.rows_scanned < 1000,
@@ -118,25 +122,15 @@ const CROSS_JOIN: &str = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
 #[test]
 fn streaming_completes_under_budget_that_trips_materialization() {
     // Scale 250 → 62 500 result rows: far over the 10 000-row intermediate
-    // budget when materialized, comfortably under it per 200-row streaming
-    // batch. (Batches stay below the 256-row parallel gate so the outcome
-    // is identical at any RDFFRAMES_THREADS setting.)
+    // budget once `execute` accumulates the result, comfortably under it
+    // per 200-row cursor batch. (Cursor batches stay below the 256-row
+    // parallel gate, and the BGP's 250-row first level keeps `execute`
+    // below it too, so the outcome is identical at any RDFFRAMES_THREADS
+    // setting.)
     let ds = dataset(250, false);
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(10_000);
+    let streaming = engine(&ds, budget);
 
-    let materializing = engine(&ds, false, budget.clone());
-    let err = materializing
-        .execute(CROSS_JOIN)
-        .expect_err("full materialization must trip the budget");
-    assert!(matches!(
-        err,
-        EngineError::ResourceExhausted {
-            resource: ResourceKind::IntermediateRows,
-            ..
-        }
-    ));
-
-    let streaming = engine(&ds, true, budget.clone());
     let (rows, stats) = drain(&streaming, CROSS_JOIN, 200);
     assert_eq!(rows.len(), 250 * 250, "streaming must produce every row");
     assert!(
@@ -145,8 +139,24 @@ fn streaming_completes_under_budget_that_trips_materialization() {
         stats.peak_live_rows
     );
 
+    // `execute` on the same engine drains the same pipeline into one
+    // table; that table is live state and trips the budget, typed, with
+    // bounded overshoot (one batch past the limit, not the N² result).
+    match streaming.execute(CROSS_JOIN) {
+        Err(EngineError::ResourceExhausted {
+            resource, observed, ..
+        }) => {
+            assert_eq!(resource, ResourceKind::IntermediateRows);
+            assert!(
+                observed < 10_000 + 16_384,
+                "overshoot {observed} is not bounded"
+            );
+        }
+        other => panic!("expected ResourceExhausted from execute, got {other:?}"),
+    }
+
     // A pipeline breaker on top genuinely needs its whole input live, so
-    // the *same* streaming engine must still trip — typed, with bounded
+    // the *same* engine's cursor must still trip — typed, with bounded
     // overshoot (one batch past the limit, never the whole N² result).
     let ordered = format!("{CROSS_JOIN} ORDER BY ?a");
     let prepared = streaming.prepare(&ordered).unwrap();
@@ -176,7 +186,7 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
     let ds = dataset(N, false);
     let q = format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }}");
 
-    let streaming = engine(&ds, true, QueryBudget::unlimited());
+    let streaming = engine(&ds, QueryBudget::unlimited());
     let (rows, stats) = drain(&streaming, &q, BATCH);
     assert_eq!(rows.len(), N);
     assert!(
@@ -193,14 +203,74 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
         stats.peak_live_rows
     );
 
-    let materializing = engine(&ds, false, QueryBudget::unlimited());
-    let (_, stats_m) = drain(&materializing, &q, BATCH);
-    assert!(
-        stats_m.peak_live_rows >= N as u64,
-        "materializing peak {} should cover the whole result",
-        stats_m.peak_live_rows
+    // `execute` drains the same pipeline at its 16,384-row batch: a
+    // bigger batch, a bigger (but still not result-sized) peak, and the
+    // accumulated result is not counted as pipeline state.
+    let (_, stats_x) = streaming.execute_with_stats(&q).unwrap();
+    assert_eq!(
+        stats_x.batches_emitted, 2,
+        "20,000 rows in 16,384-row batches"
     );
-    assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "no LIMIT: parity");
+    assert!(
+        stats_x.peak_live_rows >= 16_384 && stats_x.peak_live_rows < 16 * 16_384,
+        "execute peak {} rows is not O(16,384)",
+        stats_x.peak_live_rows
+    );
+
+    let (_, stats_r) = reference(&ds).execute_with_stats(&q).unwrap();
+    assert_eq!(stats.rows_scanned, stats_r.rows_scanned, "no LIMIT: parity");
+    assert_eq!(
+        stats_x.rows_scanned, stats_r.rows_scanned,
+        "no LIMIT: parity"
+    );
+}
+
+#[test]
+fn execute_stats_equal_a_cursor_drain_at_the_execute_batch() {
+    // `execute_with_stats` samples live state exactly as the cursor does,
+    // so every counter equals a 16,384-row cursor drain of the same
+    // prepared plan: breakers, joins, and plain scans alike.
+    let ds = dataset(20_000, false);
+    let engine = engine(&ds, QueryBudget::unlimited());
+    let queries = [
+        format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }}"),
+        format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }} ORDER BY ?o"),
+        format!(
+            "SELECT ?o (COUNT(?s) AS ?n) FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }} \
+             GROUP BY ?o"
+        ),
+        format!(
+            "SELECT DISTINCT ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o . \
+             OPTIONAL {{ ?s <http://x/q> ?z }} }}"
+        ),
+    ];
+    for q in &queries {
+        let prepared = engine.prepare(q).unwrap();
+        let (table, x) = engine.execute_prepared(&prepared, None).unwrap();
+        let mut cursor = engine.cursor(&prepared, 16_384).unwrap();
+        let mut rows = 0;
+        while let Some(batch) = cursor.next_batch().unwrap() {
+            rows += batch.len;
+        }
+        let c = cursor.stats();
+        assert_eq!(table.len(), rows, "{q}");
+        let counters = |s: &ExecStats| {
+            [
+                s.rows_scanned,
+                s.merge_joins,
+                s.merge_left_joins,
+                s.sorted_distincts,
+                s.sorted_groups,
+                s.par_workers,
+                s.par_chunks,
+                s.peak_live_rows,
+                s.peak_live_bytes,
+                s.batches_emitted,
+            ]
+        };
+        assert_eq!(counters(&x), counters(&c), "{q}");
+        assert!(x.peak_live_rows > 0 && x.batches_emitted > 0, "{q}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,10 +336,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random BGP (+ optional OPTIONAL tail, + optional GROUP BY head)
-    /// over a random graph in a random storage layout: the streaming
-    /// cursor must produce byte-identical rows in identical order with
-    /// identical `rows_scanned` as the materializing cursor, at any batch
-    /// size (none of these shapes has a LIMIT, so the carve-out is moot).
+    /// over a random graph in a random storage layout: the cursor at a
+    /// random batch size must produce exactly the rows, in order, that
+    /// `execute` produces, the same bag as the reference evaluator, and
+    /// identical `rows_scanned` on all three (none of these shapes has a
+    /// LIMIT, so the carve-out is moot).
     #[test]
     fn random_shapes_stream_identically(
         triples in proptest::collection::vec((0u8..6, 0u8..3, 0u8..6), 1..40),
@@ -296,17 +367,21 @@ proptest! {
         } else {
             format!("SELECT * FROM <{GRAPH}> WHERE {{\n{body}}}")
         };
-        let streaming = engine(&ds, true, QueryBudget::unlimited());
-        let materializing = engine(&ds, false, QueryBudget::unlimited());
+        let streaming = engine(&ds, QueryBudget::unlimited());
         let (rows_s, stats_s) = drain(&streaming, &q, batch_rows);
-        let (rows_m, stats_m) = drain(&materializing, &q, batch_rows);
-        prop_assert_eq!(rows_s, rows_m, "rows diverge for {} @ batch {}", &q, batch_rows);
+        let (mut table_x, stats_x) = streaming.execute_with_stats(&q).unwrap();
+        prop_assert_eq!(&rows_s, &table_x.rows, "rows diverge for {} @ batch {}", &q, batch_rows);
+        let (mut table_r, stats_r) = reference(&ds).execute_with_stats(&q).unwrap();
+        table_x.canonicalize();
+        table_r.canonicalize();
+        prop_assert_eq!(table_x, table_r, "pipeline and reference diverge for {}", &q);
         prop_assert_eq!(
             stats_s.rows_scanned,
-            stats_m.rows_scanned,
+            stats_r.rows_scanned,
             "scan work diverges for {} @ batch {}",
             &q,
             batch_rows
         );
+        prop_assert_eq!(stats_x.rows_scanned, stats_r.rows_scanned, "{}", &q);
     }
 }

@@ -27,6 +27,12 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo test"
 cargo test -q
 
+# The same suite under the release profile: optimized code changes thread
+# interleavings and timings, and a test whose result depends on them fails
+# here even when the debug run passes.
+echo "==> cargo test --release"
+cargo test --release -q
+
 # Thread-count invariance: the whole suite again with the work-stealing
 # pool on. Any test whose result, work count, or error type depends on
 # the number of engine threads is a determinism-contract violation and
